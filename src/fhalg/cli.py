@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .double import (DoubleConstructionError, build_double,
                      check_double_integrals, check_double_symmetric,
@@ -47,24 +46,16 @@ def _load(spec_arg: str, check_axioms: bool = True):
     return load_spec(spec_arg, check_axioms=check_axioms)
 
 
-def _run_tasks(tasks, parallel: bool) -> list:
-    """Run (label, thunk) tasks; each thunk returns a list of Checks.
-    With --parallel the thunks run concurrently but the merged output
-    order is always the submission order."""
-    def safe(label, thunk):
+def _run_tasks(tasks) -> list:
+    """Run (label, thunk) tasks in order; each thunk returns a list of
+    Checks, and a mathematical error becomes one failed Check."""
+    checks = []
+    for label, thunk in tasks:
         try:
-            return thunk()
+            checks.extend(thunk())
         except _MATH_ERRORS as exc:
-            return [Check(label, False, str(exc))]
-
-    if parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-            futures = [pool.submit(safe, label, thunk)
-                       for label, thunk in tasks]
-            results = [f.result() for f in futures]
-    else:
-        results = [safe(label, thunk) for label, thunk in tasks]
-    return [c for chunk in results for c in chunk]
+            checks.append(Check(label, False, str(exc)))
+    return checks
 
 
 def _emit(command: str, fields: dict, checks: list, args) -> int:
@@ -194,7 +185,7 @@ def cmd_check(args) -> int:
             ("symmetry",
              lambda: [Check("symmetry criteria agree", True,
                             f"symmetric={symmetric_test(sys).symmetric}")]))
-    checks = _run_tasks(tasks, args.parallel)
+    checks = _run_tasks(tasks)
     return _emit("check", fields, checks, args)
 
 
@@ -213,7 +204,7 @@ def cmd_double(args) -> int:
         ("symmetric",
          lambda: check_double_symmetric(dd, profile_D).checks),
     ]
-    checks = _run_tasks(tasks, args.parallel)
+    checks = _run_tasks(tasks)
     fields = _basic_fields(H)
     fields.update({
         "double dim": str(dd.D.dim),
@@ -273,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     parser.add_argument("--parallel", action="store_true",
-                        help="run independent checks concurrently "
-                             "(output order is unchanged)")
+                        help="accepted for compatibility; checks run "
+                             "serially")
     # accept the global flags after the subcommand as well
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

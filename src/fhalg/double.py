@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fh import FHProfile, fh_profile
+from .fh import FHProfile, _proportional, fh_profile
 from .frobenius import symmetric_test
 from .linalg import Matrix, unit_vec, vec_add, vec_scale, zero_vec
 from .structure import CheckResult, Element, Functional, HopfData, \
@@ -369,17 +369,8 @@ def check_double_integrals(dd: DoubleData, profile_H: FHProfile,
     res.add("fh profile of D(H) passes", profile_D.passed)
     res.add("D(H) is unimodular", profile_D.unimodular)
     res.add("S(t) (x) f spans the right integrals of D(H)^*",
-            _proportional_vecs(f, profile_D.f.coords, psi.coords))
+            _proportional(f, profile_D.f.coords, psi.coords))
     return res
-
-
-def _proportional_vecs(field, u, v) -> bool:
-    iu = next((i for i, c in enumerate(u) if c != field.zero), None)
-    iv = next((i for i, c in enumerate(v) if c != field.zero), None)
-    if iu is None or iv is None or iu != iv:
-        return False
-    r = field.div(v[iu], u[iu])
-    return all(field.mul(r, a) == b for a, b in zip(u, v))
 
 
 def check_double_symmetric(dd: DoubleData,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fh import FHProfile, fh_profile
+from .fh import FHProfile, fh_profile, integral_dual_bases
 from .frobenius import FrobeniusInternalError, FrobeniusSystem
 from .linalg import Matrix, solve_linear, unit_vec, vec_add, vec_scale, \
     zero_vec
@@ -195,14 +195,7 @@ def relative_system(pair: SubalgebraPair) -> RelativeFrobeniusSystem:
                beta == beta_from_chi)
 
     # relative dual bases (S^{-1}(Lambda_2), Lambda_1)
-    xs, ys = [], []
-    for i, ci in enumerate(lam.coords):
-        if ci == f.zero:
-            continue
-        for j, k, c in H.comul_sparse(i):
-            xs.append(H.apply_antipode(H.basis_element(k), -1)
-                      .scale(f.mul(ci, c)))
-            ys.append(H.basis_element(j))
+    xs, ys = integral_dual_bases(H, lam)
 
     _relative_equations(H, pair.embedding, E, beta_inv, xs, ys, checks)
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .frobenius import FrobeniusSystem, build_system, integral_space, \
-    integrals_and_norms, separability_element
+from .frobenius import FrobeniusSystem, _same_span, build_system, \
+    integral_space, integrals_and_norms, separability_element
 from .linalg import Matrix, matrix_order, solve_linear, unit_vec, \
     vec_scale, zero_vec
 from .structure import CheckResult, Element, Functional, HopfData, \
@@ -177,7 +177,7 @@ def fh_profile(H: HopfData) -> FHProfile:
     checks.add("unimodular iff m = eps",
                unimodular == (m.coords == H.counit))
     dual_left = integral_space(Hd, "left")
-    counimodular = _same_span_vecs(f, f_space, dual_left)
+    counimodular = _same_span(f, f_space, dual_left)
     checks.add("counimodular iff b = 1", counimodular == (b.coords == H.unit))
     separable = separability_element(system) is not None
     dual_sys = build_system(Hd, Functional(Hd, t.coords))
@@ -243,16 +243,6 @@ def _proportional(field, u: list, v: list) -> bool:
         return False
     r = field.div(v[iu], u[iu])
     return all(field.mul(r, a) == b for a, b in zip(u, v))
-
-
-def _same_span_vecs(field, vs1: list, vs2: list) -> bool:
-    if len(vs1) != len(vs2):
-        return False
-    if not vs1:
-        return True
-    r1 = Matrix(field, vs1).rref()[0]
-    r2 = Matrix(field, vs2).rref()[0]
-    return r1 == r2
 
 
 def _is_identity(M: Matrix) -> bool:

@@ -29,7 +29,7 @@ class FrobeniusSystem:
     sum_i x_i phi(y_i a) = a = sum_i phi(a x_i) y_i for every a."""
 
     def __init__(self, algebra: HopfData, phi: Functional,
-                 xs: list, ys: list, _verified: bool = False):
+                 xs: list, ys: list):
         if len(xs) != len(ys):
             raise ValueError("dual-bases lists must have equal length")
         self.algebra = algebra
@@ -39,8 +39,7 @@ class FrobeniusSystem:
         self._gram: Matrix | None = None
         self._gram_inv: Matrix | None = None
         self._nakayama: Matrix | None = None
-        if not _verified:
-            self.verify_dual_bases()
+        self.verify_dual_bases()
 
     # -- construction --------------------------------------------------
 
@@ -48,22 +47,17 @@ class FrobeniusSystem:
     def build(cls, A: HopfData, phi: Functional) -> "FrobeniusSystem":
         """Canonical system with x_i the algebra basis and y_i read off
         the inverse Gram matrix."""
-        sys = cls.__new__(cls)
-        sys.algebra = A
-        sys.phi = phi
-        sys._nakayama = None
         G = sys_gram(A, phi)
         Ginv = G.inverse()
         if Ginv is None:
             raise DegenerateFunctional(
                 "Gram matrix of phi is singular; phi is not a Frobenius "
                 "homomorphism")
+        # phi(y_i e_k) = delta_ik  <=>  y_i coords = row i of G^{-1}
+        sys = cls(A, phi, [A.basis_element(i) for i in range(A.dim)],
+                  [Element(A, list(Ginv.rows[i])) for i in range(A.dim)])
         sys._gram = G
         sys._gram_inv = Ginv
-        sys.xs = [A.basis_element(i) for i in range(A.dim)]
-        # phi(y_i e_k) = delta_ik  <=>  y_i coords = row i of G^{-1}
-        sys.ys = [Element(A, list(Ginv.rows[i])) for i in range(A.dim)]
-        sys.verify_dual_bases()
         return sys
 
     def verify_dual_bases(self) -> None:
@@ -273,19 +267,18 @@ def integrals_and_norms(A: HopfData, sys: FrobeniusSystem) -> AugmentedReport:
     if acc2 != norm.coords:
         raise FrobeniusInternalError("identity n = sum x_i m(y_i) fails")
 
-    unimodular = _same_span(A, right_ints, left_ints)
+    unimodular = _same_span(f, right_ints, left_ints)
     return AugmentedReport(right_ints, left_ints, norm, left_norm, modular,
                            unimodular)
 
 
-def _same_span(A: HopfData, vs1: list, vs2: list) -> bool:
+def _same_span(field, vs1: list, vs2: list) -> bool:
     if len(vs1) != len(vs2):
         return False
     if not vs1:
         return True
-    f = A.field
-    r1 = Matrix(f, vs1).rref()[0]
-    r2 = Matrix(f, vs2).rref()[0]
+    r1 = Matrix(field, vs1).rref()[0]
+    r2 = Matrix(field, vs2).rref()[0]
     return r1 == r2
 
 
@@ -420,31 +413,17 @@ def _check_symmetric_element(sys: FrobeniusSystem, c: Element) -> bool:
 
 
 def symmetric_test(sys: FrobeniusSystem) -> SymmetryReport:
-    """Three independent symmetry criteria that must agree:
-    (i) a rescaling phi d that is a trace, (ii) the Nakayama
-    automorphism is inner, (iii) a rescaled Frobenius element fixed by
-    the transpose."""
+    """A is symmetric iff its Nakayama automorphism alpha is inner, i.e.
+    iff the twisted centre T = {d : d alpha(a) = a d} holds a unit u.
+    A unit u in T gives A = uA, inside span(T A); when that span is a
+    proper subspace, A is not symmetric.  Otherwise T is searched for a
+    unit, and a search that finds none also reports False.  From u,
+    alpha(a) = u^{-1} a u, phi u^{-1} is a trace and sum x_i (x) u y_i
+    is symmetric; each witness is verified."""
     A = sys.algebra
     f = A.field
 
-    # (i) trace condition: phi(d e_i e_j) = phi(d e_j e_i), linear in d
-    rows = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ei, ej = A.basis_element(i), A.basis_element(j)
-            pij = (ei * ej).coords
-            pji = (ej * ei).coords
-            rows.append([f.sub(sys.phi(A.basis_element(u) *
-                                       Element(A, pij)),
-                               sys.phi(A.basis_element(u) *
-                                       Element(A, pji)))
-                         for u in range(A.dim)])
-    trace_space = kernel_basis(Matrix(f, rows))
-    trace_wit = _invertible_in_span(A, trace_space)
-    if trace_wit is not None and not _check_trace_rescaling(sys, trace_wit):
-        trace_wit = None
-
-    # (ii) inner condition: d alpha(e_j) = e_j d, linear in d
+    # d alpha(e_j) = e_j d, linear in d
     alpha = sys.nakayama()
     rows = []
     for j in range(A.dim):
@@ -452,60 +431,21 @@ def symmetric_test(sys: FrobeniusSystem) -> SymmetryReport:
         Rm = A.right_mul_matrix(aj)     # d -> d * alpha(e_j)
         Lm = A.left_mul_matrix(unit_vec(f, A.dim, j))  # d -> e_j * d
         rows.extend((Rm - Lm).rows)
-    inner_space = kernel_basis(Matrix(f, rows))
-    inner_wit = _invertible_in_span(A, inner_space)
-    if inner_wit is not None and not _check_inner(sys, inner_wit):
-        inner_wit = None
+    twisted_centre = kernel_basis(Matrix(f, rows))
 
-    # (iii) symmetric rescaled Frobenius element: linear in c
-    rows = []
-    npairs = A.dim * A.dim
-    for p in range(npairs):
-        i, j = divmod(p, A.dim)
-        coeffs = []
-        for u in range(A.dim):
-            eu = A.basis_element(u)
-            s = f.zero
-            for x, y in zip(sys.xs, sys.ys):
-                cy = (eu * y).coords
-                s = f.add(s, f.mul(x.coords[i], cy[j]))
-                s = f.sub(s, f.mul(x.coords[j], cy[i]))
-            coeffs.append(s)
-        rows.append(coeffs)
-    sym_space = kernel_basis(Matrix(f, rows))
-    sym_wit = _invertible_in_span(A, sym_space)
-    if sym_wit is not None and not _check_symmetric_element(sys, sym_wit):
-        sym_wit = None
-
-    # cross-seed: witnesses interconvert, so a search shortfall in one
-    # criterion can be repaired from another's witness
-    if inner_wit is None and trace_wit is not None:
-        cand = trace_wit.inverse()
-        if cand is not None and _check_inner(sys, cand):
-            inner_wit = cand
-    if trace_wit is None and inner_wit is not None:
-        cand = inner_wit.inverse()
-        if cand is not None and _check_trace_rescaling(sys, cand):
-            trace_wit = cand
-    if sym_wit is None and trace_wit is not None:
-        cand = trace_wit.inverse()
-        if cand is not None and _check_symmetric_element(sys, cand):
-            sym_wit = cand
-    if trace_wit is None and sym_wit is not None:
-        cand = sym_wit.inverse()
-        if cand is not None and _check_trace_rescaling(sys, cand):
-            trace_wit = cand
-    if inner_wit is None and sym_wit is not None:
-        cand = sym_wit
-        if _check_inner(sys, cand):
-            inner_wit = cand
-
-    flags = (trace_wit is not None, inner_wit is not None, sym_wit is not None)
-    if len(set(flags)) != 1:
+    products = [A.mul_vec(d, unit_vec(f, A.dim, j))
+                for d in twisted_centre for j in range(A.dim)]
+    u = None
+    if products and Matrix(f, products).rank() == A.dim:
+        u = _invertible_in_span(A, twisted_centre)
+    if u is None:
+        return SymmetryReport(False, None, None, None)
+    u_inv = u.inverse()
+    if not (_check_inner(sys, u) and _check_trace_rescaling(sys, u_inv)
+            and _check_symmetric_element(sys, u)):
         raise FrobeniusInternalError(
-            f"symmetry criteria disagree: trace={flags[0]}, inner={flags[1]}, "
-            f"element={flags[2]}")
-    return SymmetryReport(flags[0], trace_wit, inner_wit, sym_wit)
+            "a unit of the twisted centre fails a symmetry identity")
+    return SymmetryReport(True, u_inv, u, u)
 
 
 # -- transformations ---------------------------------------------------

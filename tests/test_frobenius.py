@@ -145,21 +145,55 @@ def test_separability_fails_in_bad_characteristic():
     ("group:C2", True),
     ("group:S3", True),
     ("group:Q8", True),
+    ("dual-group:S3", True),
     ("truncpoly:3", True),
+    ("truncpoly:5", True),
     ("sweedler4", False),
     ("taft:3:13", False),
+    ("taft:5:11", False),
 ])
 def test_symmetric_test(name, expected):
-    rep = symmetric_test(system(name))
+    sys = system(name)
+    A = sys.algebra
+    rep = symmetric_test(sys)
     assert rep.symmetric == expected
-    if expected:
-        assert rep.trace_rescaling is not None
-        assert rep.inner_witness is not None
-        assert rep.symmetric_element_rescaling is not None
-    else:
+    if not expected:
         assert rep.trace_rescaling is None
         assert rep.inner_witness is None
         assert rep.symmetric_element_rescaling is None
+        return
+    f = A.field
+    basis = [A.basis_element(i) for i in range(A.dim)]
+    # phi d is a trace, and nondegenerate (build_system raises otherwise)
+    d = rep.trace_rescaling
+    psi = Functional(A, [sys.phi(d * a) for a in basis])
+    assert all(psi(a * b) == psi(b * a) for a in basis for b in basis)
+    build_system(A, psi)
+    # alpha(a) = u^{-1} a u
+    u = rep.inner_witness
+    u_inv = u.inverse()
+    alpha = nakayama(sys)
+    for a in basis:
+        assert alpha.matvec(a.coords) == (u_inv * a * u).coords
+    # sum x_i (x) c y_i is fixed by the flip
+    c = rep.symmetric_element_rescaling
+    pairs = [(x.coords, (c * y).coords) for x, y in zip(sys.xs, sys.ys)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = rhs = f.zero
+            for x, cy in pairs:
+                lhs = f.add(lhs, f.mul(x[i], cy[j]))
+                rhs = f.add(rhs, f.mul(x[j], cy[i]))
+            assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ["sweedler4", "taft:3:13"])
+def test_non_symmetric_verdict_needs_no_search(name, monkeypatch):
+    """span(T A) != A for the twisted centre T decides these cases."""
+    def no_search(*args):
+        raise AssertionError("the unit search ran")
+    monkeypatch.setattr("fhalg.frobenius._invertible_in_span", no_search)
+    assert not symmetric_test(system(name)).symmetric
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
