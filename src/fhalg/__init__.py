@@ -4,7 +4,7 @@ algebras given by structure constants."""
 from .fields import GF, QQ, Field, FieldError, FieldMismatchError, \
     PrimeField, RationalField, field_from_json
 from .linalg import Matrix, kernel_basis, matrix_order, solve_linear
-from .structure import AxiomReport, Check, CheckResult, Element, Functional, \
+from .structure import MAX_DIM, Check, CheckResult, Element, Functional, \
     HopfData, StructureError, act, convolution_inverse, dual_hopf, hit_left, \
     hit_right, tensor_algebra, variant, verify_axioms
 from .frobenius import AugmentedReport, DegenerateFunctional, Derivative, \

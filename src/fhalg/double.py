@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from .fh import FHProfile, _proportional, fh_profile
 from .frobenius import symmetric_test
 from .linalg import Matrix, unit_vec, vec_add, vec_scale, zero_vec
-from .structure import CheckResult, Element, Functional, HopfData, \
-    StructureError, dual_hopf, hit_left, hit_right, tensor_square_mul, \
-    tensor_vec, variant, verify_axioms
+from .structure import MAX_DIM, CheckResult, Element, Functional, \
+    HopfData, StructureError, dual_hopf, hit_left, hit_right, \
+    tensor_algebra, tensor_square_mul, tensor_vec, variant, verify_axioms
 
 
 class DoubleConstructionError(RuntimeError):
@@ -90,11 +90,14 @@ def build_double(H: HopfData) -> DoubleData:
     f = H.field
     n = H.dim
     N = n * n
+    if N > MAX_DIM:
+        raise StructureError(f"the double of a {n}-dimensional algebra has "
+                             f"dimension {N}, above the limit "
+                             f"MAX_DIM = {MAX_DIM}")
     dual = dual_hopf(H)
     dual_cop = variant(dual, "cop")
 
     # coalgebra (and labels, unit, counit) from the tensor coalgebra
-    from .structure import tensor_algebra
     shell = tensor_algebra(dual_cop, H)
 
     cross = _cross_products(H, dual)
@@ -107,7 +110,7 @@ def build_double(H: HopfData) -> DoubleData:
             if cp == f.zero:
                 continue
             a, jj = divmod(p, n)
-            for k, c in dual.mul_sparse(i, a):
+            for k, c in dual.mul[i][a]:
                 idx = k * n + jj
                 out[idx] = f.add(out[idx], f.mul(cp, c))
         return out
@@ -118,7 +121,7 @@ def build_double(H: HopfData) -> DoubleData:
             if cp == f.zero:
                 continue
             a, jj = divmod(p, n)
-            for k, c in H.mul_sparse(jj, j2):
+            for k, c in H.mul[jj][j2]:
                 idx = a * n + k
                 out[idx] = f.add(out[idx], f.mul(cp, c))
         return out
@@ -130,7 +133,9 @@ def build_double(H: HopfData) -> DoubleData:
             for i2 in range(n):
                 base = dual_left_mul(i, cross[j][i2])
                 for j2 in range(n):
-                    mul[i * n + j][i2 * n + j2] = primal_right_mul(base, j2)
+                    row = primal_right_mul(base, j2)
+                    mul[i * n + j][i2 * n + j2] = [(k, c) for k, c in
+                                                   enumerate(row) if c != z]
 
     D = HopfData(f, N, shell.basis, shell.unit, mul, comul=shell.comul,
                  counit=shell.counit, antipode=Matrix.identity(f, N),

@@ -68,7 +68,7 @@ def verify_pair(H: HopfData, K: HopfData, embedding: Matrix) -> SubalgebraPair:
             raise NotHopfSubalgebra(f"counit mismatch at {K.basis[i]}")
         # Delta-closure with the comultiplication of K
         expected = zero_vec(f, H.dim * H.dim)
-        for j, k, c in K.comul_sparse(i):
+        for j, k, c in K.comul[i]:
             for u, cu in enumerate(images[j]):
                 if cu == f.zero:
                     continue
@@ -156,7 +156,7 @@ def relative_system(pair: SubalgebraPair) -> RelativeFrobeniusSystem:
     E_cols = []
     for a_idx in range(H.dim):
         acc_H = zero_vec(f, H.dim)
-        for j, k, c in H.comul_sparse(a_idx):
+        for j, k, c in H.comul[a_idx]:
             w = phi(H.basis_element(j) * v)
             if w != f.zero:
                 acc_H[k] = f.add(acc_H[k], f.mul(c, w))
@@ -245,7 +245,7 @@ def relative_F_and_derivative(pair: SubalgebraPair,
     for i, ci in enumerate(n.coords):
         if ci == f.zero:
             continue
-        for j, k, c in K.comul_sparse(i):
+        for j, k, c in K.comul[i]:
             dn.append((j, k, f.mul(ci, c)))
     s_parts = {k: H.apply_antipode(pair.embed(K.basis_element(k)), -1)
                for k in {k for _, k, _ in dn}}

@@ -207,7 +207,7 @@ def integral_dual_bases(H: HopfData, t: Element):
     for i, ci in enumerate(t.coords):
         if ci == f.zero:
             continue
-        for j, k, c in H.comul_sparse(i):
+        for j, k, c in H.comul[i]:
             xs.append(H.apply_antipode(H.basis_element(k), -1)
                       .scale(f.mul(ci, c)))
             ys.append(H.basis_element(j))
@@ -222,7 +222,7 @@ def _antipode_from_integral(H: HopfData, phi: Functional,
     for i, ci in enumerate(t.coords):
         if ci == f.zero:
             continue
-        for j, k, c in H.comul_sparse(i):
+        for j, k, c in H.comul[i]:
             dt.append((j, k, f.mul(ci, c)))
     cols = []
     for a_idx in range(n):
@@ -267,7 +267,7 @@ def check_radford_element(H: HopfData, profile: FHProfile) -> CheckResult:
     for i, ci in enumerate(t.coords):
         if ci == f.zero:
             continue
-        for j, k, c in H.comul_sparse(i):
+        for j, k, c in H.comul[i]:
             w = f.mul(ci, c)
             lhs[k * n + j] = f.add(lhs[k * n + j], w)
             left_leg = (b_inv * H.apply_antipode(H.basis_element(j), 2)).coords

@@ -5,7 +5,7 @@ File format
 An algebra description is a JSON object with keys:
 
 * ``field``: ``{"kind": "Q"}`` or ``{"kind": "Fp", "p": <prime>}``
-* ``dim``: basis size
+* ``dim``: basis size, at most ``MAX_DIM`` (256)
 * ``basis``: list of ``dim`` label strings
 * ``level``: ``"algebra"``, ``"augmented-algebra"``, ``"bialgebra"`` or
   ``"hopf"``
@@ -19,8 +19,10 @@ An algebra description is a JSON object with keys:
   acting on coordinate columns
 
 Scalars are always strings: ``"num"`` or ``"num/den"`` over Q, a decimal
-residue over F_p.  Load -> serialize -> load is the identity on all
-structure tensors.
+residue over F_p.  Entries repeating an index triple are summed and
+zero coefficients are dropped, so serialization emits each nonzero
+constant once, in index order.  Load -> serialize -> load is the
+identity on all structure tensors.
 
 An embedding file for a subalgebra pair (H, K) is a JSON object
 ``{"rows": [...]}`` (or a bare list) of ``dim K`` rows, each a list of
@@ -34,7 +36,8 @@ import json
 
 from .fields import Field, FieldError, field_from_json
 from .linalg import Matrix
-from .structure import LEVELS, HopfData, StructureError, verify_axioms
+from .structure import LEVELS, MAX_DIM, HopfData, StructureError, \
+    _comul_from_entries, _mul_from_entries, verify_axioms
 
 __all__ = ["SpecFormatError", "load_spec", "save_spec", "hopf_from_json",
            "hopf_to_json", "load_embedding"]
@@ -68,10 +71,10 @@ def _parse_vector(field: Field, data, dim: int, where: str):
 
 
 def _parse_sparse_tensor(field: Field, data, dim: int, where: str):
-    """[[i, j, k, "coeff"], ...] -> dense dim^3 nested list t[i][j][k]."""
+    """[[i, j, k, "coeff"], ...] -> list of ((i, j, k), coeff) terms."""
     if not isinstance(data, list):
         raise SpecFormatError(f"{where}: expected a list of entries")
-    t = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    entries = []
     for n, entry in enumerate(data):
         tag = f"{where}[{n}]"
         if (not isinstance(entry, list) or len(entry) != 4):
@@ -81,9 +84,8 @@ def _parse_sparse_tensor(field: Field, data, dim: int, where: str):
             if not isinstance(idx, int) or not 0 <= idx < dim:
                 raise SpecFormatError(
                     f"{tag}: index {idx!r} out of range for dim {dim}")
-        c = _parse_scalar(field, s, tag)
-        t[i][j][k] = field.add(t[i][j][k], c)
-    return t
+        entries.append(((i, j, k), _parse_scalar(field, s, tag)))
+    return entries
 
 
 def _parse_matrix(field: Field, data, nrows: int, ncols: int,
@@ -110,6 +112,9 @@ def hopf_from_json(obj, name: str = "", check_axioms: bool = True) -> HopfData:
     if not isinstance(dim, int) or dim < 1:
         raise SpecFormatError(f"spec.dim: expected a positive integer, "
                               f"got {dim!r}")
+    if dim > MAX_DIM:
+        raise SpecFormatError(f"spec.dim: {dim} exceeds the limit "
+                              f"MAX_DIM = {MAX_DIM}")
     level = obj.get("level", "algebra")
     if level not in LEVELS:
         raise SpecFormatError(f"spec.level: unknown level {level!r}; "
@@ -121,15 +126,15 @@ def hopf_from_json(obj, name: str = "", check_axioms: bool = True) -> HopfData:
             raise SpecFormatError(f"spec.basis: expected {dim} label strings")
     unit = _parse_vector(field, _require(obj, "unit", "spec"), dim,
                          "spec.unit")
-    mul = _parse_sparse_tensor(field, _require(obj, "mul", "spec"), dim,
-                               "spec.mul")
+    mul = _mul_from_entries(field, dim, _parse_sparse_tensor(
+        field, _require(obj, "mul", "spec"), dim, "spec.mul"))
     comul = counit = antipode = None
     if level in ("augmented-algebra", "bialgebra", "hopf"):
         counit = _parse_vector(field, _require(obj, "counit", "spec"), dim,
                                "spec.counit")
     if level in ("bialgebra", "hopf"):
-        comul = _parse_sparse_tensor(field, _require(obj, "comul", "spec"),
-                                     dim, "spec.comul")
+        comul = _comul_from_entries(field, dim, _parse_sparse_tensor(
+            field, _require(obj, "comul", "spec"), dim, "spec.comul"))
     if level == "hopf":
         antipode = _parse_matrix(field, _require(obj, "antipode", "spec"),
                                  dim, dim, "spec.antipode")
@@ -150,7 +155,7 @@ def hopf_from_json(obj, name: str = "", check_axioms: bool = True) -> HopfData:
 
 def hopf_to_json(H: HopfData) -> dict:
     """Serialize back to the JSON description format (all scalars as
-    strings, sparse tensors in sorted index order)."""
+    strings, sparse tensors as stored: in index order, zeros dropped)."""
     fmt = H.field.format
     obj: dict = {
         "field": H.field.to_json(),
@@ -160,8 +165,7 @@ def hopf_to_json(H: HopfData) -> dict:
         "unit": [fmt(c) for c in H.unit],
         "mul": [[i, j, k, fmt(c)]
                 for i in range(H.dim) for j in range(H.dim)
-                for k, c in enumerate(H.mul[i][j])
-                if not H.field.is_zero(c)],
+                for k, c in H.mul[i][j]],
     }
     if H.name:
         obj["name"] = H.name
@@ -169,9 +173,7 @@ def hopf_to_json(H: HopfData) -> dict:
         obj["counit"] = [fmt(c) for c in H.counit]
     if H.comul is not None:
         obj["comul"] = [[i, j, k, fmt(c)]
-                        for i in range(H.dim) for j in range(H.dim)
-                        for k, c in enumerate(H.comul[i][j])
-                        if not H.field.is_zero(c)]
+                        for i in range(H.dim) for j, k, c in H.comul[i]]
     if H.antipode is not None:
         obj["antipode"] = [[fmt(c) for c in row] for row in H.antipode.rows]
     return obj

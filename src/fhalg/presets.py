@@ -8,11 +8,18 @@ from itertools import permutations
 
 from .fields import GF, QQ, Field, FieldError
 from .linalg import Matrix, unit_vec, zero_vec
-from .structure import HopfData, StructureError, dual_hopf, tensor_square_mul
+from .structure import MAX_DIM, HopfData, StructureError, dual_hopf, \
+    tensor_square_mul
 
 
 class PresetError(ValueError):
     pass
+
+
+def _refuse_above_max_dim(dim: int, what: str) -> None:
+    if dim > MAX_DIM:
+        raise PresetError(f"{what} has dimension {dim}, above the limit "
+                          f"MAX_DIM = {MAX_DIM}")
 
 
 def group_algebra(field: Field, elements, mul_fn, labels,
@@ -23,10 +30,8 @@ def group_algebra(field: Field, elements, mul_fn, labels,
     index = {g: i for i, g in enumerate(elements)}
     f = field
     z = f.zero
-    mul = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            mul[i][j][index[mul_fn(a, b)]] = f.one
+    mul = [[[(index[mul_fn(a, b)], f.one)] for b in elements]
+           for a in elements]
     # identity: the unique e with e*g = g for all g
     ident = None
     for i, a in enumerate(elements):
@@ -43,9 +48,7 @@ def group_algebra(field: Field, elements, mul_fn, labels,
                 break
         else:
             raise PresetError(f"element {labels[i]} has no inverse")
-    comul = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        comul[i][i][i] = f.one
+    comul = [[(i, i, f.one)] for i in range(n)]
     counit = [f.one] * n
     srows = [[f.one if inv[j] == i else z for j in range(n)] for i in range(n)]
     return HopfData(f, n, labels, unit_vec(f, n, ident), mul, comul=comul,
@@ -56,6 +59,7 @@ def group_algebra(field: Field, elements, mul_fn, labels,
 def cyclic_group_algebra(n: int, field: Field = QQ) -> HopfData:
     if n < 1:
         raise PresetError("cyclic group order must be positive")
+    _refuse_above_max_dim(n, f"C{n}")
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     return group_algebra(field, list(range(n)), lambda a, b: (a + b) % n,
                          labels, name=f"k[C{n}]")
@@ -153,6 +157,7 @@ def taft_algebra(n: int, field: Field, q=None, name: str = "") -> HopfData:
     n-th root of unity."""
     if n < 2:
         raise PresetError("Taft algebra needs n >= 2")
+    _refuse_above_max_dim(n * n, f"Taft({n})")
     if q is None:
         q = _primitive_root_of_unity(field, n)
     f = field
@@ -166,14 +171,10 @@ def taft_algebra(n: int, field: Field, q=None, name: str = "") -> HopfData:
     for _ in range(n * n):
         qpow.append(f.mul(qpow[-1], q))
 
-    mul = [[[z] * N for _ in range(N)] for _ in range(N)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if b + d < n:  # x^b g^c = q^{bc} g^c x^b
-                        mul[idx(a, b)][idx(c, d)][idx((a + c) % n, b + d)] = \
-                            qpow[b * c]
+    # x^b g^c = q^{bc} g^c x^b
+    mul = [[[(idx((a + c) % n, b + d), qpow[b * c])] if b + d < n else []
+            for c in range(n) for d in range(n)]
+           for a in range(n) for b in range(n)]
 
     def lbl(a, b):
         ga = "" if a == 0 else ("g" if a == 1 else f"g^{a}")
@@ -201,14 +202,9 @@ def taft_algebra(n: int, field: Field, q=None, name: str = "") -> HopfData:
     Dx_pow = [t2(idx(0, 0), idx(0, 0))]
     for _ in range(n - 1):
         Dx_pow.append(tensor_square_mul(H, Dx_pow[-1], Dx))
-    comul = [[[z] * N for _ in range(N)] for _ in range(N)]
-    for a in range(n):
-        for b in range(n):
-            v = tensor_square_mul(H, Dg_pow[a], Dx_pow[b])
-            row = comul[idx(a, b)]
-            for p, c in enumerate(v):
-                if c != z:
-                    row[p // N][p % N] = c
+    comul = [[(p // N, p % N, c) for p, c in enumerate(
+                  tensor_square_mul(H, Dg_pow[a], Dx_pow[b])) if c != z]
+             for a in range(n) for b in range(n)]
 
     # antipode: S(g) = g^{-1}, S(x) = -g^{-1} x, extended
     # anti-multiplicatively: S(g^a x^b) = S(x)^b S(g)^a
@@ -240,13 +236,11 @@ def truncated_polynomial_algebra(n: int, field: Field = QQ) -> HopfData:
     """k[X]/(X^n), augmented by evaluation at zero.  Not a bialgebra."""
     if n < 1:
         raise PresetError("truncpoly order must be positive")
+    _refuse_above_max_dim(n, f"k[X]/(X^{n})")
     f = field
     z = f.zero
-    mul = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i + j < n:
-                mul[i][j][i + j] = f.one
+    mul = [[[(i + j, f.one)] if i + j < n else [] for j in range(n)]
+           for i in range(n)]
     labels = ["1"] + ["X" if i == 1 else f"X^{i}" for i in range(1, n)]
     counit = [f.one] + [z] * (n - 1)
     return HopfData(f, n, labels, unit_vec(f, n, 0), mul, counit=counit,

@@ -2,12 +2,17 @@
 
 Conventions, fixed once for the whole package:
 
-* ``mul[i][j][k]``   : e_i * e_j = sum_k mul[i][j][k] e_k
-* ``comul[i][j][k]`` : Delta(e_i) = sum_{j,k} comul[i][j][k] e_j (x) e_k
+* ``mul[i][j]`` is the list of ``(k, c)`` pairs with
+  e_i * e_j = sum c e_k
+* ``comul[i]`` is the list of ``(j, k, c)`` triples with
+  Delta(e_i) = sum c e_j (x) e_k
+* both lists hold nonzero coefficients only, sorted by index, so equal
+  tensors are equal lists; this is the only stored form (the JSON
+  ``[i, j, k, "c"]`` entries, grouped by their leading indices)
 * antipode matrix acts on coordinate columns: S(e_j) = sum_i S[i][j] e_i
 * tensor-square coordinates are row-major: (i, j) -> i * dim + j
 
-The dual is a pure transposition of these tensors, so H <-> H*
+The dual is a pure permutation of the entries' indices, so H <-> H*
 round-trips are bit-exact.
 """
 
@@ -20,6 +25,10 @@ from .linalg import (Matrix, kernel_basis, solve_linear, unit_vec, vec_add,
                      vec_scale, zero_vec)
 
 LEVELS = ("algebra", "augmented-algebra", "bialgebra", "hopf")
+
+# Largest dimension accepted from a spec, a preset or a double: that of
+# D(Taft_4), the top of the benchmark ladder.
+MAX_DIM = 256
 
 
 def format_combination(field: Field, coords, labels) -> str:
@@ -107,9 +116,7 @@ class Element:
         return Element(self.algebra, [f.neg(c) for c in self.coords])
 
     def __eq__(self, other):
-        return (isinstance(other, Element) and self.algebra is other.algebra
-                and self.coords == other.coords) or \
-               (isinstance(other, Element) and self.coords == other.coords
+        return (isinstance(other, Element) and self.coords == other.coords
                 and self.algebra.field == other.algebra.field)
 
     def is_zero(self) -> bool:
@@ -172,7 +179,7 @@ class Functional:
         out = zero_vec(f, A.dim)
         for i in range(A.dim):
             s = f.zero
-            for j, k, c in A.comul_sparse(i):
+            for j, k, c in A.comul[i]:
                 a = self.coords[j]
                 b = other.coords[k]
                 if a != f.zero and b != f.zero:
@@ -230,8 +237,6 @@ class HopfData:
         self.antipode = antipode
         self.level = level
         self.name = name
-        self._mul_sparse: dict = {}
-        self._comul_sparse: dict = {}
         self._antipode_inv: Matrix | None = None
         if len(self.unit) != dim or len(self.basis) != dim:
             raise StructureError("unit/basis length != dim")
@@ -261,36 +266,13 @@ class HopfData:
             raise StructureError("no counit")
         return Functional(self, self.counit)
 
-    def mul_sparse(self, i: int, j: int):
-        key = (i, j)
-        if key not in self._mul_sparse:
-            z = self.field.zero
-            self._mul_sparse[key] = [(k, c) for k, c in enumerate(self.mul[i][j])
-                                     if c != z]
-        return self._mul_sparse[key]
-
-    def comul_sparse(self, i: int):
-        if self.comul is None:
-            raise StructureError("no comultiplication")
-        if i not in self._comul_sparse:
-            z = self.field.zero
-            row = self.comul[i]
-            self._comul_sparse[i] = [(j, k, c)
-                                     for j in range(self.dim)
-                                     for k, c in enumerate(row[j]) if c != z]
-        return self._comul_sparse[i]
-
     def comul2_sparse(self, i: int):
         """Sparse (Delta (x) Id)Delta(e_i) as (p, q, r, coeff) quadruples."""
         f = self.field
-        acc: dict = {}
-        for j, r, c in self.comul_sparse(i):
-            for p, q, c2 in self.comul_sparse(j):
-                key = (p, q, r)
-                val = f.mul(c, c2)
-                acc[key] = f.add(acc[key], val) if key in acc else val
-        return [(p, q, r, c) for (p, q, r), c in sorted(acc.items())
-                if c != f.zero]
+        acc = _sparse_sum(f, (((p, q, r), f.mul(c, c2))
+                              for j, r, c in self.comul[i]
+                              for p, q, c2 in self.comul[j]))
+        return [(*key, c) for key, c in sorted(acc.items())]
 
     # -- algebra operations -------------------------------------------
 
@@ -301,11 +283,12 @@ class HopfData:
         for i, ai in enumerate(a):
             if ai == z:
                 continue
+            row = self.mul[i]
             for j, bj in enumerate(b):
                 if bj == z:
                     continue
                 cij = f.mul(ai, bj)
-                for k, c in self.mul_sparse(i, j):
+                for k, c in row[j]:
                     out[k] = f.add(out[k], f.mul(cij, c))
         return out
 
@@ -328,7 +311,7 @@ class HopfData:
         for i, ai in enumerate(a):
             if ai == f.zero:
                 continue
-            for j, k, c in self.comul_sparse(i):
+            for j, k, c in self.comul[i]:
                 idx = j * self.dim + k
                 out[idx] = f.add(out[idx], f.mul(ai, c))
         return out
@@ -395,7 +378,7 @@ def act(g: Functional, a: Element, side: str) -> Element:
     for i, ai in enumerate(a.coords):
         if ai == f.zero:
             continue
-        for j, k, c in A.comul_sparse(i):
+        for j, k, c in A.comul[i]:
             if side == "left":
                 gv = g.coords[k]
                 tgt = j
@@ -433,8 +416,8 @@ def tensor_square_mul(A: "HopfData", u, v):
                 continue
             j, j2 = divmod(pv, n)
             cc = f.mul(cu, cv)
-            for k, c1 in A.mul_sparse(i, j):
-                for k2, c2 in A.mul_sparse(i2, j2):
+            for k, c1 in A.mul[i][j]:
+                for k2, c2 in A.mul[i2][j2]:
                     idx = k * n + k2
                     out[idx] = f.add(out[idx], f.mul(cc, f.mul(c1, c2)))
     return out
@@ -452,33 +435,40 @@ def swap_tensor(field: Field, u, n: int):
     return out
 
 
+# -- sparse structure constants ----------------------------------------
+
+def _sparse_sum(f: Field, terms) -> dict:
+    """Sum (key, value) terms into {key: total}, dropping zero totals."""
+    acc: dict = {}
+    for key, v in terms:
+        acc[key] = f.add(acc[key], v) if key in acc else v
+    return {key: v for key, v in acc.items() if v != f.zero}
+
+
+def _mul_from_entries(f: Field, dim: int, terms):
+    """Stored ``mul`` from ((i, j, k), c) terms: mul[i][j] = [(k, c)]."""
+    mul = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), c in sorted(_sparse_sum(f, terms).items()):
+        mul[i][j].append((k, c))
+    return mul
+
+
+def _comul_from_entries(f: Field, dim: int, terms):
+    """Stored ``comul`` from ((i, j, k), c) terms: comul[i] = [(j, k, c)]."""
+    comul = [[] for _ in range(dim)]
+    for (i, j, k), c in sorted(_sparse_sum(f, terms).items()):
+        comul[i].append((j, k, c))
+    return comul
+
+
 # -- axiom verification ------------------------------------------------
 
-@dataclass
-class AxiomReport:
-    level: str
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def __str__(self):
-        head = f"level {self.level}: {'pass' if self.passed else 'FAIL'}"
-        return "\n".join([head] + [f"  {c}" for c in self.checks])
-
-
-def verify_axioms(H: HopfData) -> AxiomReport:
+def verify_axioms(H: HopfData) -> CheckResult:
     """Per-axiom pass/fail at H's declared level; checks run on basis
     elements, which suffices by multilinearity."""
     f = H.field
-    checks: list[Check] = []
-
-    def add(name, passed, detail=""):
-        checks.append(Check(name, passed, detail))
+    res = CheckResult()
+    add = res.add
 
     # associativity
     ok, wit = True, ""
@@ -528,20 +518,12 @@ def verify_axioms(H: HopfData) -> AxiomReport:
         # coassociativity
         ok, wit = True, ""
         for i in range(H.dim):
-            lhs: dict = {}
-            for j, r, c in H.comul_sparse(i):
-                for p, q, c2 in H.comul_sparse(j):
-                    key = (p, q, r)
-                    v = f.mul(c, c2)
-                    lhs[key] = f.add(lhs[key], v) if key in lhs else v
-            rhs: dict = {}
-            for p, j, c in H.comul_sparse(i):
-                for q, r, c2 in H.comul_sparse(j):
-                    key = (p, q, r)
-                    v = f.mul(c, c2)
-                    rhs[key] = f.add(rhs[key], v) if key in rhs else v
-            lhs = {k: v for k, v in lhs.items() if v != f.zero}
-            rhs = {k: v for k, v in rhs.items() if v != f.zero}
+            lhs = _sparse_sum(f, (((p, q, r), f.mul(c, c2))
+                                  for j, r, c in H.comul[i]
+                                  for p, q, c2 in H.comul[j]))
+            rhs = _sparse_sum(f, (((p, q, r), f.mul(c, c2))
+                                  for p, j, c in H.comul[i]
+                                  for q, r, c2 in H.comul[j]))
             if lhs != rhs:
                 ok, wit = False, f"coassociativity fails on e{i}"
                 break
@@ -552,7 +534,7 @@ def verify_axioms(H: HopfData) -> AxiomReport:
         for i in range(H.dim):
             left = zero_vec(f, H.dim)
             right = zero_vec(f, H.dim)
-            for j, k, c in H.comul_sparse(i):
+            for j, k, c in H.comul[i]:
                 left[k] = f.add(left[k], f.mul(H.counit[j], c))
                 right[j] = f.add(right[j], f.mul(c, H.counit[k]))
             e = unit_vec(f, H.dim, i)
@@ -567,11 +549,15 @@ def verify_axioms(H: HopfData) -> AxiomReport:
         if H.comul_vec(H.unit) != outer_unit:
             ok, wit = False, "Delta(1) != 1 (x) 1"
         else:
-            dts = [H.comul_vec(unit_vec(f, H.dim, i)) for i in range(H.dim)]
             for i in range(H.dim):
                 for j in range(H.dim):
-                    lhs = H.comul_vec(prods[i][j])
-                    rhs = tensor_square_mul(H, dts[i], dts[j])
+                    lhs = _sparse_sum(f, (((a, b), f.mul(ck, c))
+                                          for k, ck in H.mul[i][j]
+                                          for a, b, c in H.comul[k]))
+                    rhs = _sparse_sum(f, (
+                        ((k, k2), f.mul(f.mul(c, c2), f.mul(m, m2)))
+                        for a, b, c in H.comul[i] for a2, b2, c2 in H.comul[j]
+                        for k, m in H.mul[a][a2] for k2, m2 in H.mul[b][b2]))
                     if lhs != rhs:
                         ok, wit = False, f"Delta(e{i}*e{j}) != Delta(e{i})Delta(e{j})"
                         break
@@ -585,7 +571,7 @@ def verify_axioms(H: HopfData) -> AxiomReport:
         for i in range(H.dim):
             left = zero_vec(f, H.dim)
             right = zero_vec(f, H.dim)
-            for j, k, c in H.comul_sparse(i):
+            for j, k, c in H.comul[i]:
                 sj = S.matvec(unit_vec(f, H.dim, j))
                 term = H.mul_vec(sj, unit_vec(f, H.dim, k))
                 left = vec_add(f, left, vec_scale(f, c, term))
@@ -599,8 +585,9 @@ def verify_axioms(H: HopfData) -> AxiomReport:
                 ok2, wit2 = False, f"sum a_1 S(a_2) != eps(a)1 at e{i}"
         add("antipode-left", ok1, wit1)
         add("antipode-right", ok2, wit2)
-        add("antipode-invertible", S.inverse() is not None,
-            "" if S.inverse() is not None else "antipode matrix singular")
+        invertible = S.inverse() is not None
+        add("antipode-invertible", invertible,
+            "" if invertible else "antipode matrix singular")
 
     required = {"algebra": {"associativity", "unit"},
                 "augmented-algebra": {"associativity", "unit",
@@ -612,11 +599,10 @@ def verify_axioms(H: HopfData) -> AxiomReport:
                          "coassociativity", "counit-axiom",
                          "comul-algebra-map", "antipode-left",
                          "antipode-right", "antipode-invertible"}}[H.level]
-    names = {c.name for c in checks}
-    missing = required - names
-    for nm in sorted(missing):
-        checks.append(Check(nm, False, "required data absent for level"))
-    return AxiomReport(H.level, checks)
+    names = {c.name for c in res.checks}
+    for nm in sorted(required - names):
+        add(nm, False, "required data absent for level")
+    return res
 
 
 # -- constructions -----------------------------------------------------
@@ -626,10 +612,12 @@ def dual_hopf(H: HopfData) -> HopfData:
     if H.comul is None or H.counit is None:
         raise StructureError("dual needs comultiplication and counit")
     n = H.dim
-    mul = [[[H.comul[k][i][j] for k in range(n)]
-            for j in range(n)] for i in range(n)]
-    comul = [[[H.mul[j][k][i] for k in range(n)]
-              for j in range(n)] for i in range(n)]
+    f = H.field
+    mul = _mul_from_entries(f, n, (((i, j, k), c) for k in range(n)
+                                   for i, j, c in H.comul[k]))
+    comul = _comul_from_entries(f, n, (((i, j, k), c) for j in range(n)
+                                       for k in range(n)
+                                       for i, c in H.mul[j][k]))
     antipode = H.antipode.transpose() if H.antipode is not None else None
     labels = [f"{b}^" for b in H.basis]
     level = H.level if H.level in ("bialgebra", "hopf") else "bialgebra"
@@ -644,13 +632,12 @@ def variant(H: HopfData, which: str) -> HopfData:
     n = H.dim
     mul, comul, antipode = H.mul, H.comul, H.antipode
     if which in ("op", "op-cop"):
-        mul = [[[H.mul[j][i][k] for k in range(n)]
-                for j in range(n)] for i in range(n)]
+        mul = [[H.mul[j][i] for j in range(n)] for i in range(n)]
     if which in ("cop", "op-cop"):
         if H.comul is None:
             raise StructureError("cop needs comultiplication")
-        comul = [[[H.comul[i][k][j] for k in range(n)]
-                  for j in range(n)] for i in range(n)]
+        comul = [sorted((k, j, c) for j, k, c in H.comul[i])
+                 for i in range(n)]
     if which not in ("op", "cop", "op-cop"):
         raise ValueError("variant must be op, cop or op-cop")
     if antipode is not None and which in ("op", "cop"):
@@ -667,32 +654,18 @@ def tensor_algebra(A: HopfData, B: HopfData) -> HopfData:
     f = A.field
     n, m = A.dim, B.dim
     N = n * m
-    z = f.zero
-
-    def idx(i, i2):
-        return i * m + i2
-
-    mul = [[[z] * N for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for i2 in range(m):
-            for j in range(n):
-                for j2 in range(m):
-                    row = mul[idx(i, i2)][idx(j, j2)]
-                    for k, c1 in A.mul_sparse(i, j):
-                        for k2, c2 in B.mul_sparse(i2, j2):
-                            row[idx(k, k2)] = f.add(row[idx(k, k2)],
-                                                    f.mul(c1, c2))
+    mul = _mul_from_entries(f, N, (
+        ((i * m + i2, j * m + j2, k * m + k2), f.mul(c1, c2))
+        for i in range(n) for i2 in range(m)
+        for j in range(n) for j2 in range(m)
+        for k, c1 in A.mul[i][j] for k2, c2 in B.mul[i2][j2]))
     unit = tensor_vec(f, A.unit, B.unit)
     comul = counit = None
     if A.comul is not None and B.comul is not None:
-        comul = [[[z] * N for _ in range(N)] for _ in range(N)]
-        for i in range(n):
-            for i2 in range(m):
-                t = comul[idx(i, i2)]
-                for j, k, c1 in A.comul_sparse(i):
-                    for j2, k2, c2 in B.comul_sparse(i2):
-                        t[idx(j, j2)][idx(k, k2)] = f.add(
-                            t[idx(j, j2)][idx(k, k2)], f.mul(c1, c2))
+        comul = _comul_from_entries(f, N, (
+            ((i * m + i2, j * m + j2, k * m + k2), f.mul(c1, c2))
+            for i in range(n) for i2 in range(m)
+            for j, k, c1 in A.comul[i] for j2, k2, c2 in B.comul[i2]))
     if A.counit is not None and B.counit is not None:
         counit = tensor_vec(f, A.counit, B.counit)
     antipode = None
@@ -725,7 +698,7 @@ def convolution_inverse(H: HopfData, F: Matrix) -> Matrix | None:
                for u in range(n)]
     rows, rhs = [], []
     for i in range(n):
-        sparse = H.comul_sparse(i)
+        sparse = H.comul[i]
         for r in range(n):
             row = [f.zero] * (n * n)
             for j, k, c in sparse:
@@ -744,7 +717,7 @@ def convolution_inverse(H: HopfData, F: Matrix) -> Matrix | None:
     Gcols = [G.matvec(unit_vec(f, n, k)) for k in range(n)]
     for i in range(n):
         acc = zero_vec(f, n)
-        for j, k, c in H.comul_sparse(i):
+        for j, k, c in H.comul[i]:
             acc = vec_add(f, acc, vec_scale(f, c, H.mul_vec(Fcols[j], Gcols[k])))
         if acc != vec_scale(f, H.counit[i], H.unit):
             return None

@@ -1,11 +1,12 @@
 """Command-line contract: exit codes, JSON output, serialization."""
 
 import json
+import time
 
 import pytest
 
 from fhalg.cli import main
-from fhalg.io import hopf_to_json, load_spec, save_spec
+from fhalg.io import hopf_from_json, hopf_to_json, load_spec, save_spec
 from conftest import preset
 
 
@@ -50,6 +51,47 @@ def test_out_of_range_index_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "out of range" in err
+
+
+def test_duplicate_and_zero_entries_load_to_the_stored_form():
+    H = preset("sweedler4")
+    obj = hopf_to_json(H)
+    canonical = [list(e) for e in obj["mul"]]
+    i, j, k, _ = obj["mul"][0]
+    assert obj["mul"][0][3] == "1"
+    obj["mul"][0][3] = "1/2"
+    obj["mul"].append([i, j, k, "1/2"])
+    obj["mul"].append([1, 1, 3, "0"])      # x * x = 0 in H4
+    H2 = hopf_from_json(obj)
+    assert H2.mul == H.mul
+    assert H2.mul[i][j] == [(k, H.field.one)]
+    assert H2.mul[1][1] == []
+    assert hopf_to_json(H2)["mul"] == canonical
+
+
+def _assert_refused_quickly(capsys, *argv):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "MAX_DIM = 256" in err
+
+
+def test_spec_above_max_dim_is_refused_before_allocation(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": 2000,
+                                "unit": ["1"], "mul": []}))
+    _assert_refused_quickly(capsys, "verify", str(path))
+
+
+@pytest.mark.parametrize("name", ["group:C257", "truncpoly:257",
+                                  "taft:17:103", "dual-group:C1000"])
+def test_preset_above_max_dim_is_refused(capsys, name):
+    _assert_refused_quickly(capsys, "check", f"preset:{name}")
+
+
+def test_double_above_max_dim_is_refused(capsys):
+    _assert_refused_quickly(capsys, "double", "preset:group:C17")
 
 
 def test_numeric_scalar_is_an_input_error(tmp_path, capsys):

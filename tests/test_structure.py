@@ -7,7 +7,7 @@ import pytest
 from fhalg import (GF, QQ, Functional, Matrix, convolution_inverse, dual_hopf,
                    get_preset, hit_left, hit_right, tensor_algebra, variant,
                    verify_axioms)
-from conftest import HOPF_PRESETS, PRESET_NAMES, preset
+from conftest import HOPF_PRESETS, PRESET_NAMES, double, preset
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -106,7 +106,7 @@ def test_flipped_structure_constant_is_detected(sweedler):
     broken = copy.deepcopy(sweedler.mul)
     f = sweedler.field
     # x * x = 0 in the original; make it 1 instead
-    broken[1][1][0] = f.one
+    broken[1][1] = [(0, f.one)]
     H = sweedler.copy_with(mul=broken)
     report = verify_axioms(H)
     assert not report.passed
@@ -126,3 +126,37 @@ def test_element_and_functional_rendering(sweedler):
     two = H.field.from_int(2)
     assert repr(H.basis_element(1).scale(two)) == "2*x"
     assert repr(H.eps()) == "1^ + g^"
+
+
+def _constructed(case):
+    if case.startswith("dual:"):
+        return dual_hopf(preset(case[len("dual:"):]))
+    if case in ("op", "cop", "op-cop"):
+        return variant(preset("sweedler4"), case)
+    if case == "C2 (x) C3":
+        return tensor_algebra(preset("group:C2"), preset("group:C3"))
+    if case == "D(sweedler4)":
+        return double("sweedler4").D
+    return preset(case)
+
+
+@pytest.mark.parametrize("case", PRESET_NAMES + ["dual:sweedler4",
+                                                 "dual:taft:3:13", "op",
+                                                 "cop", "op-cop",
+                                                 "C2 (x) C3", "D(sweedler4)"])
+def test_constructors_store_sorted_zero_free_entries(case):
+    H = _constructed(case)
+    z = H.field.zero
+    assert len(H.mul) == H.dim
+    for row in H.mul:
+        assert len(row) == H.dim
+        for entries in row:
+            ks = [k for k, _ in entries]
+            assert ks == sorted(set(ks))
+            assert all(0 <= k < H.dim and c != z for k, c in entries)
+    if H.comul is not None:
+        assert len(H.comul) == H.dim
+        for entries in H.comul:
+            keys = [(j, k) for j, k, _ in entries]
+            assert keys == sorted(set(keys))
+            assert all(c != z for _, _, c in entries)
