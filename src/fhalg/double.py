@@ -7,11 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fh import FHProfile, _proportional, fh_profile
-from .frobenius import symmetric_test
-from .linalg import Matrix, unit_vec, vec_add, vec_scale, zero_vec
+from .frobenius import _check_trace_rescaling
+from .linalg import Matrix, unit_vec, vec_scale, zero_vec
 from .structure import MAX_DIM, CheckResult, Element, Functional, \
-    HopfData, StructureError, dual_hopf, hit_left, hit_right, \
-    tensor_algebra, tensor_square_mul, tensor_vec, variant, verify_axioms
+    HopfData, StructureError, _outer, _outer_sum, _sparse_sum, \
+    _tensor_mismatch, dual_hopf, hit_left, hit_right, tensor_algebra, \
+    tensor_square_mul, tensor_vec, variant, verify_axioms
 
 
 class DoubleConstructionError(RuntimeError):
@@ -54,7 +55,7 @@ def _cross_products(H: HopfData, dual: HopfData):
         for i in range(n):
             # form 1
             out1 = zero_vec(f, n * n)
-            for p, q, r, c in d3:
+            for (p, q, r), c in d3.items():
                 sr = s_inv.matvec(unit_vec(f, n, r))
                 for h in range(n):
                     w = H.mul_vec(H.mul_vec(sr, unit_vec(f, n, h)),
@@ -65,7 +66,7 @@ def _cross_products(H: HopfData, dual: HopfData):
             # form 2
             out2 = zero_vec(f, n * n)
             x = H.basis_element(j)
-            for p, q, r, c in dual.comul2_sparse(i):
+            for (p, q, r), c in dual.comul2_sparse(i).items():
                 g1s = Functional(H, dual_s_inv.matvec(unit_vec(f, n, p)))
                 g3 = Functional(H, unit_vec(f, n, r))
                 y = hit_right(hit_left(g1s, x), g3)
@@ -185,113 +186,56 @@ def build_double(H: HopfData) -> DoubleData:
     return DoubleData(H, dual, D, r_pairs)
 
 
-def _pure_tensor_sum(field, pairs, N):
-    out = zero_vec(field, N * N)
-    for p_vec, q_vec in pairs:
-        for a, ca in enumerate(p_vec):
-            if ca == field.zero:
-                continue
-            row = a * N
-            for b, cb in enumerate(q_vec):
-                if cb != field.zero:
-                    out[row + b] = field.add(out[row + b], field.mul(ca, cb))
-    return out
-
-
-def r_matrix_vector(dd: DoubleData) -> list:
-    """R as a row-major coordinate vector in D (x) D."""
-    return _pure_tensor_sum(dd.D.field, dd.r_pairs, dd.D.dim)
+def r_matrix_vector(dd: DoubleData) -> dict:
+    """R = sum P_i (x) Q_i as a tensor {(i, j): c} in D (x) D."""
+    return _outer_sum(dd.D.field, dd.r_pairs)
 
 
 def check_quasitriangular(dd: DoubleData) -> CheckResult:
     """R invertible with R Delta(a) = Delta^op(a) R, plus the two
     coproduct equations (Delta (x) Id)R = R13 R23 and
-    (Id (x) Delta)R = R13 R12."""
+    (Id (x) Delta)R = R13 R12.  A failed tensor identity names its
+    smallest differing slot."""
     D = dd.D
     f = D.field
-    N = D.dim
+    pairs = dd.r_pairs
     res = CheckResult()
     R = r_matrix_vector(dd)
 
     # inverse: (S' (x) Id)R, verified directly
     S = D.antipode_matrix()
-    inv_pairs = [(S.matvec(p), q) for p, q in dd.r_pairs]
-    R_inv = _pure_tensor_sum(f, inv_pairs, N)
-    one = tensor_vec(f, D.unit, D.unit)
-    res.add("R (S' (x) Id)R = 1 = (S' (x) Id)R R",
-            tensor_square_mul(D, R, R_inv) == one
-            and tensor_square_mul(D, R_inv, R) == one)
+    R_inv = _outer_sum(f, ((S.matvec(p), q) for p, q in pairs))
+    one = _outer(f, D.unit, D.unit)
+    wit = (_tensor_mismatch(D, tensor_square_mul(D, R, R_inv), one)
+           or _tensor_mismatch(D, tensor_square_mul(D, R_inv, R), one))
+    res.add("R (S' (x) Id)R = 1 = (S' (x) Id)R R", not wit, wit)
 
     # almost cocommutativity on every basis element
     ok, wit = True, ""
-    for a in range(N):
-        da = D.comul_vec(unit_vec(f, N, a))
-        da_op = zero_vec(f, N * N)
-        for p, c in enumerate(da):
-            i, j = divmod(p, N)
-            da_op[j * N + i] = c
+    for a in range(D.dim):
+        da = {(j, k): c for j, k, c in D.comul[a]}
+        da_op = {(k, j): c for j, k, c in D.comul[a]}
         if tensor_square_mul(D, R, da) != tensor_square_mul(D, da_op, R):
             ok, wit = False, f"fails at {D.basis[a]}"
             break
     res.add("R Delta(a) = Delta^op(a) R", ok, wit)
 
     # triple-tensor equations, expanded in pure R-terms
-    def triple_add(acc, u, v, w):
-        for a, ca in enumerate(u):
-            if ca == f.zero:
-                continue
-            for b, cb in enumerate(v):
-                if cb == f.zero:
-                    continue
-                cab = f.mul(ca, cb)
-                base = (a * N + b) * N
-                for c_idx, cc in enumerate(w):
-                    if cc != f.zero:
-                        acc[base + c_idx] = f.add(acc[base + c_idx],
-                                                  f.mul(cab, cc))
+    lhs = _sparse_sum(f, (((a, b, k), f.mul(c, ck)) for p, q in pairs
+                          for (a, b), c in D.comul_of(p).items()
+                          for k, ck in enumerate(q) if ck != f.zero))
+    rhs = _outer_sum(f, ((pi, pj, D.mul_vec(qi, qj))
+                         for pi, qi in pairs for pj, qj in pairs))
+    wit = _tensor_mismatch(D, lhs, rhs)
+    res.add("(Delta (x) Id)R = R13 R23", not wit, wit)
 
-    prods_q = {}
-    prods_p = {}
-    for i, (pi, qi) in enumerate(dd.r_pairs):
-        for j, (pj, qj) in enumerate(dd.r_pairs):
-            prods_q[i, j] = D.mul_vec(qi, qj)
-            prods_p[i, j] = D.mul_vec(pi, pj)
-
-    lhs = [f.zero] * (N ** 3)
-    for p_vec, q_vec in dd.r_pairs:
-        dp = D.comul_vec(p_vec)
-        for pos, c in enumerate(dp):
-            if c == f.zero:
-                continue
-            a, b = divmod(pos, N)
-            base = (a * N + b) * N
-            for c_idx, cc in enumerate(q_vec):
-                if cc != f.zero:
-                    lhs[base + c_idx] = f.add(lhs[base + c_idx],
-                                              f.mul(c, cc))
-    rhs = [f.zero] * (N ** 3)
-    for i, (pi, _) in enumerate(dd.r_pairs):
-        for j, (pj, _) in enumerate(dd.r_pairs):
-            triple_add(rhs, pi, pj, prods_q[i, j])
-    res.add("(Delta (x) Id)R = R13 R23", lhs == rhs)
-
-    lhs = [f.zero] * (N ** 3)
-    for p_vec, q_vec in dd.r_pairs:
-        dq = D.comul_vec(q_vec)
-        for a, ca in enumerate(p_vec):
-            if ca == f.zero:
-                continue
-            for pos, c in enumerate(dq):
-                if c == f.zero:
-                    continue
-                b, c_idx = divmod(pos, N)
-                slot = (a * N + b) * N + c_idx
-                lhs[slot] = f.add(lhs[slot], f.mul(ca, c))
-    rhs = [f.zero] * (N ** 3)
-    for i, (_, qi) in enumerate(dd.r_pairs):
-        for j, (_, qj) in enumerate(dd.r_pairs):
-            triple_add(rhs, prods_p[i, j], qj, qi)
-    res.add("(Id (x) Delta)R = R13 R12", lhs == rhs)
+    lhs = _sparse_sum(f, (((k, a, b), f.mul(ck, c)) for p, q in pairs
+                          for (a, b), c in D.comul_of(q).items()
+                          for k, ck in enumerate(p) if ck != f.zero))
+    rhs = _outer_sum(f, ((D.mul_vec(pi, pj), qj, qi)
+                         for pi, qi in pairs for pj, qj in pairs))
+    wit = _tensor_mismatch(D, lhs, rhs)
+    res.add("(Id (x) Delta)R = R13 R12", not wit, wit)
     return res
 
 
@@ -324,37 +268,33 @@ def check_double_integrals(dd: DoubleData, profile_H: FHProfile,
 
     # intermediate identity: sum S^{-1}(t_3) b^{-1} t_1 (x) t_2 = 1 (x) t
     b_inv = profile_H.b.inverse()
-    lhs = zero_vec(f, n * n)
     s_inv = H.antipode_inv_matrix()
+    legs = []
     for i, ci in enumerate(t.coords):
         if ci == f.zero:
             continue
-        for p, q, r, c in H.comul2_sparse(i):
+        for (p, q, r), c in H.comul2_sparse(i).items():
             v = H.mul_vec(H.mul_vec(s_inv.matvec(unit_vec(f, n, r)),
                                     b_inv.coords), unit_vec(f, n, p))
-            w = f.mul(ci, c)
-            for u, cu in enumerate(v):
-                if cu != f.zero:
-                    lhs[u * n + q] = f.add(lhs[u * n + q], f.mul(w, cu))
+            legs.append((vec_scale(f, f.mul(ci, c), v), unit_vec(f, n, q)))
+    lhs = _outer_sum(f, legs)
     res.add("sum S^{-1}(t_3) b^{-1} t_1 (x) t_2 = 1 (x) t",
-            lhs == tensor_vec(f, H.unit, t.coords))
+            lhs == _outer(f, H.unit, t.coords))
 
     # intermediate identity in H*: sum T_2 (x) T_3 m S^{-1}(T_1) = T (x) 1
     m_el = list(profile_H.m.coords)                  # m as element of H*
     dual_s_inv = dual.antipode_inv_matrix()
-    lhs = zero_vec(f, n * n)
+    legs = []
     for i, ci in enumerate(T.coords):
         if ci == f.zero:
             continue
-        for p, q, r, c in dual.comul2_sparse(i):
+        for (p, q, r), c in dual.comul2_sparse(i).items():
             v = dual.mul_vec(dual.mul_vec(unit_vec(f, n, r), m_el),
                              dual_s_inv.matvec(unit_vec(f, n, p)))
-            w = f.mul(ci, c)
-            for u, cu in enumerate(v):
-                if cu != f.zero:
-                    lhs[q * n + u] = f.add(lhs[q * n + u], f.mul(w, cu))
+            legs.append((unit_vec(f, n, q), vec_scale(f, f.mul(ci, c), v)))
+    lhs = _outer_sum(f, legs)
     res.add("sum T_2 (x) T_3 m S^{-1}(T_1) = T (x) 1",
-            lhs == tensor_vec(f, T.coords, dual.unit))
+            lhs == _outer(f, T.coords, dual.unit))
 
     # S(t) (x) f is a right integral in D(H)^* pairing to 1 against T (x) t
     St = H.apply_antipode(t, 1)
@@ -408,7 +348,8 @@ def check_double_symmetric(dd: DoubleData,
 
     res.add("Nakayama of D(H) equals S'^2 (unimodular case)",
             profile_D.unimodular and profile_D.eta == S2)
-    sym = symmetric_test(profile_D.system)
-    res.add("D(H) is a symmetric algebra", sym.symmetric)
+    # eta = S'^2 = Ad(u) makes x -> f(u x) a trace, so D(H) is symmetric
+    res.add("D(H) is a symmetric algebra",
+            _check_trace_rescaling(profile_D.system, u))
     res.add("symmetric confirms unimodular", profile_D.unimodular)
     return res

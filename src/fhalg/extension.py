@@ -12,7 +12,7 @@ from .frobenius import FrobeniusInternalError, FrobeniusSystem
 from .linalg import Matrix, solve_linear, unit_vec, vec_add, vec_scale, \
     zero_vec
 from .structure import CheckResult, Element, Functional, HopfData, \
-    check_same_field, hit_right
+    _outer_sum, check_same_field, hit_right
 
 
 class NotHopfSubalgebra(ValueError):
@@ -67,17 +67,9 @@ def verify_pair(H: HopfData, K: HopfData, embedding: Matrix) -> SubalgebraPair:
         if H.counit_of(images[i]) != K.counit[i]:
             raise NotHopfSubalgebra(f"counit mismatch at {K.basis[i]}")
         # Delta-closure with the comultiplication of K
-        expected = zero_vec(f, H.dim * H.dim)
-        for j, k, c in K.comul[i]:
-            for u, cu in enumerate(images[j]):
-                if cu == f.zero:
-                    continue
-                for v, cv in enumerate(images[k]):
-                    if cv != f.zero:
-                        p = u * H.dim + v
-                        expected[p] = f.add(expected[p],
-                                            f.mul(c, f.mul(cu, cv)))
-        if H.comul_vec(images[i]) != expected:
+        expected = _outer_sum(f, ((vec_scale(f, c, images[j]), images[k])
+                                  for j, k, c in K.comul[i]))
+        if H.comul_of(images[i]) != expected:
             raise NotHopfSubalgebra(
                 f"comultiplication not closed at {K.basis[i]}")
         if H.antipode_matrix().matvec(images[i]) != \

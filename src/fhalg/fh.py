@@ -11,7 +11,8 @@ from .frobenius import FrobeniusSystem, _same_span, build_system, \
 from .linalg import Matrix, matrix_order, solve_linear, unit_vec, \
     vec_scale, zero_vec
 from .structure import CheckResult, Element, Functional, HopfData, \
-    StructureError, convolution_inverse, dual_hopf, hit_left, hit_right
+    StructureError, _outer_sum, _tensor_mismatch, convolution_inverse, \
+    dual_hopf, hit_left, hit_right
 
 
 class NotFrobenius(ValueError):
@@ -262,26 +263,13 @@ def check_radford_element(H: HopfData, profile: FHProfile) -> CheckResult:
     if b_inv is None:
         res.add("b invertible", False, "distinguished group-like not invertible")
         return res
-    lhs = zero_vec(f, n * n)
-    rhs = zero_vec(f, n * n)
-    for i, ci in enumerate(t.coords):
-        if ci == f.zero:
-            continue
-        for j, k, c in H.comul[i]:
-            w = f.mul(ci, c)
-            lhs[k * n + j] = f.add(lhs[k * n + j], w)
-            left_leg = (b_inv * H.apply_antipode(H.basis_element(j), 2)).coords
-            for u, cu in enumerate(left_leg):
-                if cu != f.zero:
-                    rhs[u * n + k] = f.add(rhs[u * n + k], f.mul(w, cu))
-    if lhs == rhs:
-        res.add("sum t_2 (x) t_1 = sum b^{-1} S^2(t_1) (x) t_2", True)
-    else:
-        slot = next(p for p in range(n * n) if lhs[p] != rhs[p])
-        i, j = divmod(slot, n)
-        res.add("sum t_2 (x) t_1 = sum b^{-1} S^2(t_1) (x) t_2", False,
-                f"tensor slot {H.basis[i]} (x) {H.basis[j]}: "
-                f"{f.format(lhs[slot])} != {f.format(rhs[slot])}")
+    dt = H.comul_of(t.coords)
+    lhs = {(k, j): c for (j, k), c in dt.items()}
+    rhs = _outer_sum(f, (((b_inv * H.apply_antipode(H.basis_element(j), 2))
+                          .scale(c).coords, unit_vec(f, n, k))
+                         for (j, k), c in dt.items()))
+    wit = _tensor_mismatch(H, lhs, rhs)
+    res.add("sum t_2 (x) t_1 = sum b^{-1} S^2(t_1) (x) t_2", not wit, wit)
     return res
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .linalg import Matrix, kernel_basis, solve_linear, unit_vec, vec_add, \
     vec_scale, zero_vec
 from .structure import Element, Functional, HopfData, StructureError, \
-    tensor_square_mul, tensor_vec
+    _outer, _outer_sum, tensor_square_mul, tensor_vec
 
 
 class DegenerateFunctional(ValueError):
@@ -91,14 +91,11 @@ class FrobeniusSystem:
 
     # -- derived objects ----------------------------------------------
 
-    def frobenius_element(self) -> list:
-        """e = sum_i x_i (x) y_i in the tensor square (row-major)."""
-        A = self.algebra
-        f = A.field
-        out = zero_vec(f, A.dim * A.dim)
-        for x, y in zip(self.xs, self.ys):
-            out = vec_add(f, out, tensor_vec(f, x.coords, y.coords))
-        return out
+    def frobenius_element(self) -> dict:
+        """e = sum_i x_i (x) y_i as a tensor {(j, k): c}."""
+        return _outer_sum(self.algebra.field,
+                          ((x.coords, y.coords)
+                           for x, y in zip(self.xs, self.ys)))
 
     def casimir_ok(self) -> bool:
         """a e = e a for every basis a."""
@@ -106,8 +103,8 @@ class FrobeniusSystem:
         f = A.field
         e = self.frobenius_element()
         for i in range(A.dim):
-            left = tensor_vec(f, unit_vec(f, A.dim, i), A.unit)
-            right = tensor_vec(f, A.unit, unit_vec(f, A.dim, i))
+            left = _outer(f, unit_vec(f, A.dim, i), A.unit)
+            right = _outer(f, A.unit, unit_vec(f, A.dim, i))
             if tensor_square_mul(A, left, e) != tensor_square_mul(A, e, right):
                 return False
         return True
@@ -130,14 +127,14 @@ class FrobeniusSystem:
         A = self.algebra
         f = A.field
         alpha = self.nakayama()
+        pairs = list(zip(self.xs, self.ys))
         for i in range(A.dim):
             a = A.basis_element(i)
             aa = Element(A, alpha.matvec(a.coords))
-            lhs = zero_vec(f, A.dim * A.dim)
-            rhs = zero_vec(f, A.dim * A.dim)
-            for x, y in zip(self.xs, self.ys):
-                lhs = vec_add(f, lhs, tensor_vec(f, (x * a).coords, y.coords))
-                rhs = vec_add(f, rhs, tensor_vec(f, x.coords, (aa * y).coords))
+            lhs = _outer_sum(f, (((x * a).coords, y.coords)
+                                 for x, y in pairs))
+            rhs = _outer_sum(f, ((x.coords, (aa * y).coords)
+                                 for x, y in pairs))
             if lhs != rhs:
                 return False
         return True
@@ -400,16 +397,9 @@ def _check_inner(sys: FrobeniusSystem, d: Element) -> bool:
 
 
 def _check_symmetric_element(sys: FrobeniusSystem, c: Element) -> bool:
-    A = sys.algebra
-    f = A.field
-    t = zero_vec(f, A.dim * A.dim)
-    for x, y in zip(sys.xs, sys.ys):
-        t = vec_add(f, t, tensor_vec(f, x.coords, (c * y).coords))
-    flipped = zero_vec(f, A.dim * A.dim)
-    for p, v in enumerate(t):
-        i, j = divmod(p, A.dim)
-        flipped[j * A.dim + i] = v
-    return t == flipped
+    t = _outer_sum(sys.algebra.field, ((x.coords, (c * y).coords)
+                                       for x, y in zip(sys.xs, sys.ys)))
+    return t == {(j, i): v for (i, j), v in t.items()}
 
 
 def symmetric_test(sys: FrobeniusSystem) -> SymmetryReport:

@@ -5,6 +5,7 @@ truncated polynomial algebras."""
 from __future__ import annotations
 
 from itertools import permutations
+from math import gcd
 
 from .fields import GF, QQ, Field, FieldError
 from .linalg import Matrix, unit_vec, zero_vec
@@ -134,7 +135,11 @@ def quaternion_group_algebra(field: Field = QQ) -> HopfData:
 
 def _primitive_root_of_unity(field: Field, n: int):
     """Deterministic n-th primitive root: smallest residue of
-    multiplicative order exactly n.  Over Q only n in {1, 2}."""
+    multiplicative order exactly n.  Over Q only n in {1, 2}.
+
+    Every a^((p-1)/n) is an n-th root of unity; the first of exact order
+    n generates them all, and the primitive ones are its powers z^k with
+    gcd(k, n) = 1, so the search takes O(n) modular powers, not O(p)."""
     if n == 1:
         return field.one
     if field.kind == "Q":
@@ -144,10 +149,10 @@ def _primitive_root_of_unity(field: Field, n: int):
     p = field.p
     if (p - 1) % n != 0:
         raise PresetError(f"need {n} | p-1, got p = {p}")
-    for r in range(2, p):
-        if pow(r, n, p) == 1 and all(pow(r, d, p) != 1
-                                     for d in range(1, n) if n % d == 0):
-            return r
+    for a in range(2, p):
+        z = pow(a, (p - 1) // n, p)
+        if all(pow(z, d, p) != 1 for d in range(1, n) if n % d == 0):
+            return min(pow(z, k, p) for k in range(1, n) if gcd(k, n) == 1)
     raise PresetError(f"no primitive {n}-th root mod {p}")
 
 
@@ -187,23 +192,16 @@ def taft_algebra(n: int, field: Field, q=None, name: str = "") -> HopfData:
                  name=name or f"Taft({n})")
 
     # comultiplication generated from Delta g, Delta x by products in H (x) H
-    def t2(i, j):
-        v = zero_vec(f, N * N)
-        v[i * N + j] = f.one
-        return v
-
-    Dg = t2(idx(1, 0), idx(1, 0))
-    Dx_a = t2(idx(0, 1), idx(0, 0))
-    Dx_b = t2(idx(1, 0), idx(0, 1))
-    Dx = [f.add(a, b) for a, b in zip(Dx_a, Dx_b)]
-    Dg_pow = [t2(idx(0, 0), idx(0, 0))]
+    Dg = {(idx(1, 0), idx(1, 0)): f.one}
+    Dx = {(idx(0, 1), idx(0, 0)): f.one, (idx(1, 0), idx(0, 1)): f.one}
+    Dg_pow = [{(idx(0, 0), idx(0, 0)): f.one}]
     for _ in range(n - 1):
         Dg_pow.append(tensor_square_mul(H, Dg_pow[-1], Dg))
-    Dx_pow = [t2(idx(0, 0), idx(0, 0))]
+    Dx_pow = [{(idx(0, 0), idx(0, 0)): f.one}]
     for _ in range(n - 1):
         Dx_pow.append(tensor_square_mul(H, Dx_pow[-1], Dx))
-    comul = [[(p // N, p % N, c) for p, c in enumerate(
-                  tensor_square_mul(H, Dg_pow[a], Dx_pow[b])) if c != z]
+    comul = [sorted((j, k, c) for (j, k), c in
+                    tensor_square_mul(H, Dg_pow[a], Dx_pow[b]).items())
              for a in range(n) for b in range(n)]
 
     # antipode: S(g) = g^{-1}, S(x) = -g^{-1} x, extended

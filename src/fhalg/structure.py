@@ -10,7 +10,9 @@ Conventions, fixed once for the whole package:
   tensors are equal lists; this is the only stored form (the JSON
   ``[i, j, k, "c"]`` entries, grouped by their leading indices)
 * antipode matrix acts on coordinate columns: S(e_j) = sum_i S[i][j] e_i
-* tensor-square coordinates are row-major: (i, j) -> i * dim + j
+* an element of A (x) A is a dict {(i, j): c} meaning sum c e_i (x) e_j,
+  and an element of A (x) A (x) A a dict {(i, j, k): c}; only nonzero
+  coefficients are stored, so equal tensors are equal dicts
 
 The dual is a pure permutation of the entries' indices, so H <-> H*
 round-trips are bit-exact.
@@ -266,13 +268,12 @@ class HopfData:
             raise StructureError("no counit")
         return Functional(self, self.counit)
 
-    def comul2_sparse(self, i: int):
-        """Sparse (Delta (x) Id)Delta(e_i) as (p, q, r, coeff) quadruples."""
+    def comul2_sparse(self, i: int) -> dict:
+        """(Delta (x) Id)Delta(e_i) as a tensor {(p, q, r): c}."""
         f = self.field
-        acc = _sparse_sum(f, (((p, q, r), f.mul(c, c2))
-                              for j, r, c in self.comul[i]
-                              for p, q, c2 in self.comul[j]))
-        return [(*key, c) for key, c in sorted(acc.items())]
+        return _sparse_sum(f, (((p, q, r), f.mul(c, c2))
+                               for j, r, c in self.comul[i]
+                               for p, q, c2 in self.comul[j]))
 
     # -- algebra operations -------------------------------------------
 
@@ -304,17 +305,12 @@ class HopfData:
 
     # -- coalgebra operations -----------------------------------------
 
-    def comul_vec(self, a):
-        """Delta(a) as a row-major tensor-square coordinate vector."""
+    def comul_of(self, a) -> dict:
+        """Delta(a) as a tensor {(j, k): c}."""
         f = self.field
-        out = zero_vec(f, self.dim * self.dim)
-        for i, ai in enumerate(a):
-            if ai == f.zero:
-                continue
-            for j, k, c in self.comul[i]:
-                idx = j * self.dim + k
-                out[idx] = f.add(out[idx], f.mul(ai, c))
-        return out
+        return _sparse_sum(f, (((j, k), f.mul(ai, c))
+                               for i, ai in enumerate(a) if ai != f.zero
+                               for j, k, c in self.comul[i]))
 
     def counit_of(self, a):
         if self.counit is None:
@@ -350,8 +346,7 @@ class HopfData:
 
     def is_group_like(self, x: Element) -> bool:
         f = self.field
-        outer = [f.mul(a, b) for a in x.coords for b in x.coords]
-        return (self.comul_vec(x.coords) == outer
+        return (self.comul_of(x.coords) == _outer(f, x.coords, x.coords)
                 and self.counit_of(x.coords) == f.one)
 
     def copy_with(self, **kw) -> "HopfData":
@@ -400,42 +395,23 @@ def hit_right(a: Element, g: Functional) -> Element:
     return act(g, a, "right")
 
 
-# -- tensor square helpers --------------------------------------------
+# -- tensors ----------------------------------------------------------
 
-def tensor_square_mul(A: "HopfData", u, v):
-    """Product in A (x) A of two row-major coordinate vectors."""
+def tensor_square_mul(A: "HopfData", u: dict, v: dict) -> dict:
+    """Product in A (x) A of two tensors {(i, j): c}."""
     f = A.field
-    n = A.dim
-    out = zero_vec(f, n * n)
-    for pu, cu in enumerate(u):
-        if cu == f.zero:
-            continue
-        i, i2 = divmod(pu, n)
-        for pv, cv in enumerate(v):
-            if cv == f.zero:
-                continue
-            j, j2 = divmod(pv, n)
-            cc = f.mul(cu, cv)
-            for k, c1 in A.mul[i][j]:
-                for k2, c2 in A.mul[i2][j2]:
-                    idx = k * n + k2
-                    out[idx] = f.add(out[idx], f.mul(cc, f.mul(c1, c2)))
-    return out
+    return _sparse_sum(f, (((k, k2), f.mul(f.mul(cu, cv), f.mul(c1, c2)))
+                           for (i, i2), cu in u.items()
+                           for (j, j2), cv in v.items()
+                           for k, c1 in A.mul[i][j]
+                           for k2, c2 in A.mul[i2][j2]))
 
 
 def tensor_vec(field: Field, u, v):
+    """Coordinates of u (x) v in the tensor-product algebra, whose basis
+    pairs (i, j) in row-major order."""
     return [field.mul(a, b) for a in u for b in v]
 
-
-def swap_tensor(field: Field, u, n: int):
-    out = zero_vec(field, n * n)
-    for p, c in enumerate(u):
-        i, j = divmod(p, n)
-        out[j * n + i] = c
-    return out
-
-
-# -- sparse structure constants ----------------------------------------
 
 def _sparse_sum(f: Field, terms) -> dict:
     """Sum (key, value) terms into {key: total}, dropping zero totals."""
@@ -444,6 +420,39 @@ def _sparse_sum(f: Field, terms) -> dict:
         acc[key] = f.add(acc[key], v) if key in acc else v
     return {key: v for key, v in acc.items() if v != f.zero}
 
+
+def _outer(f: Field, *vecs) -> dict:
+    """The pure tensor vecs[0] (x) vecs[1] (x) ... of coordinate vectors,
+    as {(i, j, ...): c}."""
+    out = {(): f.one}
+    for v in vecs:
+        nonzero = [(i, c) for i, c in enumerate(v) if c != f.zero]
+        out = {key + (i,): f.mul(a, c) for key, a in out.items()
+               for i, c in nonzero}
+    return out
+
+
+def _outer_sum(f: Field, legs) -> dict:
+    """Sum of the pure tensors _outer(f, *vecs) over the tuples vecs in
+    legs."""
+    return _sparse_sum(f, (term for vecs in legs
+                           for term in _outer(f, *vecs).items()))
+
+
+def _tensor_mismatch(A: "HopfData", lhs: dict, rhs: dict) -> str:
+    """Empty when lhs == rhs; otherwise the smallest slot where the two
+    tensors differ, as 'tensor slot a (x) b: lhs != rhs'."""
+    if lhs == rhs:
+        return ""
+    f = A.field
+    slot = min(key for key in lhs.keys() | rhs.keys()
+               if lhs.get(key, f.zero) != rhs.get(key, f.zero))
+    return (f"tensor slot {' (x) '.join(A.basis[i] for i in slot)}: "
+            f"{f.format(lhs.get(slot, f.zero))} != "
+            f"{f.format(rhs.get(slot, f.zero))}")
+
+
+# -- sparse structure constants ----------------------------------------
 
 def _mul_from_entries(f: Field, dim: int, terms):
     """Stored ``mul`` from ((i, j, k), c) terms: mul[i][j] = [(k, c)]."""
@@ -545,8 +554,7 @@ def verify_axioms(H: HopfData) -> CheckResult:
 
         # Delta is an algebra map
         ok, wit = True, ""
-        outer_unit = tensor_vec(f, H.unit, H.unit)
-        if H.comul_vec(H.unit) != outer_unit:
+        if H.comul_of(H.unit) != _outer(f, H.unit, H.unit):
             ok, wit = False, "Delta(1) != 1 (x) 1"
         else:
             for i in range(H.dim):

@@ -60,6 +60,14 @@ def test_r_matrix_mutation_is_detected():
         dd, r_pairs=[(q, p) for p, q in dd.r_pairs])
     res = check_quasitriangular(mutated)
     assert not res.passed
+    for check in res.failures():
+        assert check.detail, check.name
+    tensor_checks = {"R (S' (x) Id)R = 1 = (S' (x) Id)R R",
+                     "(Delta (x) Id)R = R13 R23", "(Id (x) Delta)R = R13 R12"}
+    for check in res.checks:
+        if check.name in tensor_checks and not check.passed:
+            assert check.detail.startswith("tensor slot "), check.detail
+            assert " != " in check.detail
 
 
 @pytest.mark.parametrize("name", DOUBLED)
@@ -88,7 +96,15 @@ def test_sweedler_double_shape():
     assert dd.D.dim == 16
     assert len(dd.r_pairs) == 4
     r = r_matrix_vector(dd)
-    assert len(r) == 16 * 16
+    assert all(0 <= i < 16 and 0 <= j < 16 for i, j in r)
+    f = dd.D.field
+    expected = {}
+    for p_vec, q_vec in dd.r_pairs:
+        for i, a in enumerate(p_vec):
+            for j, b in enumerate(q_vec):
+                expected[i, j] = f.add(expected.get((i, j), f.zero),
+                                       f.mul(a, b))
+    assert r == {key: c for key, c in expected.items() if c != f.zero}
     p = dprofile("sweedler4")
     assert p.unimodular
     assert p.passed

@@ -79,6 +79,7 @@ def test_radford_identity_is_falsifiable(sweedler):
     mutated = dataclasses.replace(p, b=sweedler.one())
     res = check_radford_element(sweedler, mutated)
     assert not res.passed
+    assert res.checks[0].detail == "tensor slot 1 (x) x: 1 != 0"
 
 
 def test_s4_formula_is_falsifiable(sweedler):

@@ -1,11 +1,13 @@
-"""Scalar fields: the primality test behind GF(p)."""
+"""Scalar fields: the primality test behind GF(p) and the roots of
+unity the Taft presets take from it."""
 
 import time
 
 import pytest
 
-from fhalg import GF, FieldError
+from fhalg import GF, FieldError, get_preset
 from fhalg.fields import is_prime
+from fhalg.presets import _primitive_root_of_unity
 
 
 def _trial_division(n):
@@ -36,3 +38,27 @@ def test_strong_pseudoprimes_are_rejected(n):
 def test_modulus_beyond_the_proven_range_is_refused(p):
     with pytest.raises(FieldError, match="too large"):
         GF(p)
+
+
+def _smallest_root_by_scan(p, n):
+    """Smallest residue of multiplicative order exactly n, by trial."""
+    return next(r for r in range(2, p)
+                if pow(r, n, p) == 1
+                and all(pow(r, d, p) != 1 for d in range(1, n) if n % d == 0))
+
+
+def test_primitive_root_of_unity_agrees_with_a_residue_scan():
+    for p in range(3, 400):
+        if not is_prime(p):
+            continue
+        for n in range(2, 17):
+            if (p - 1) % n == 0:
+                assert _primitive_root_of_unity(GF(p), n) == \
+                    _smallest_root_by_scan(p, n), (p, n)
+
+
+def test_taft_preset_over_a_large_prime_loads_quickly():
+    t0 = time.perf_counter()
+    H = get_preset("taft:2:1000000000000000003")
+    assert time.perf_counter() - t0 < 1.0
+    assert H.dim == 4

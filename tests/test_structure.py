@@ -3,10 +3,13 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhalg import (GF, QQ, Functional, Matrix, convolution_inverse, dual_hopf,
                    get_preset, hit_left, hit_right, tensor_algebra, variant,
                    verify_axioms)
+from fhalg.structure import tensor_square_mul
 from conftest import HOPF_PRESETS, PRESET_NAMES, double, preset
 
 
@@ -160,3 +163,31 @@ def test_constructors_store_sorted_zero_free_entries(case):
             keys = [(j, k) for j, k, _ in entries]
             assert keys == sorted(set(keys))
             assert all(c != z for _, _, c in entries)
+
+
+def _sparse_tensors(n):
+    """Sparse elements {(i, j): c} of A (x) A, with nonzero small c."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.integers(-3, 3).filter(bool), max_size=4)
+
+
+@pytest.mark.parametrize("name", ["group:S3", "dual-group:S3", "sweedler4",
+                                  "taft:3:13", "truncpoly:4"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tensor_square_mul_matches_the_tensor_algebra(name, data):
+    A = preset(name)
+    f, n = A.field, A.dim
+    u, v = ({key: f.from_int(c) for key, c in
+             data.draw(_sparse_tensors(n)).items()} for _ in range(2))
+
+    def dense(t):
+        out = [f.zero] * (n * n)
+        for (i, j), c in t.items():
+            out[i * n + j] = c
+        return out
+
+    product = tensor_algebra(A, A).mul_vec(dense(u), dense(v))
+    assert tensor_square_mul(A, u, v) == \
+        {divmod(p, n): c for p, c in enumerate(product) if c != f.zero}
