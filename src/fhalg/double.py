@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fh import FHProfile, _proportional, fh_profile
+from .fh import FHProfile, _proportional
 from .frobenius import _check_trace_rescaling
 from .linalg import Matrix, unit_vec, vec_scale, zero_vec
 from .structure import MAX_DIM, CheckResult, Element, Functional, \
-    HopfData, StructureError, _outer, _outer_sum, _sparse_sum, \
-    _tensor_mismatch, dual_hopf, hit_left, hit_right, tensor_algebra, \
-    tensor_square_mul, tensor_vec, variant, verify_axioms
+    HopfData, StructureError, _multiplicative_failure, _outer, _outer_sum, \
+    _sparse_sum, _tensor_mismatch, dual_hopf, hit_left, hit_right, \
+    tensor_algebra, tensor_square_mul, tensor_vec, variant, verify_axioms
 
 
 class DoubleConstructionError(RuntimeError):
@@ -163,27 +163,21 @@ def build_double(H: HopfData) -> DoubleData:
             "double fails axioms: "
             + "; ".join(str(c) for c in report.failures()))
 
-    # the two factors embed as subalgebras
-    for i in range(n):
-        for i2 in range(n):
-            lhs = D.mul_vec(tensor_vec(f, unit_vec(f, n, i), H.unit),
-                            tensor_vec(f, unit_vec(f, n, i2), H.unit))
-            rhs = tensor_vec(f, dual.mul_vec(unit_vec(f, n, i),
-                                             unit_vec(f, n, i2)), H.unit)
-            if lhs != rhs:
-                raise DoubleConstructionError("dual factor not a subalgebra")
-            lhs = D.mul_vec(tensor_vec(f, list(H.counit), unit_vec(f, n, i)),
-                            tensor_vec(f, list(H.counit), unit_vec(f, n, i2)))
-            rhs = tensor_vec(f, list(H.counit),
-                             H.mul_vec(unit_vec(f, n, i),
-                                       unit_vec(f, n, i2)))
-            if lhs != rhs:
-                raise DoubleConstructionError("primal factor not a subalgebra")
+    # the two factors embed as subalgebras: g -> g (x) 1 and x -> 1 (x) x
+    dual_images = [tensor_vec(f, unit_vec(f, n, i), H.unit)
+                   for i in range(n)]
+    primal_images = [tensor_vec(f, H.counit, unit_vec(f, n, i))
+                     for i in range(n)]
+    # the earliest failing pair is named, the dual factor first on a tie
+    failures = [(bad, side) for bad, side in (
+        (_multiplicative_failure(dual, D, dual_images), "dual"),
+        (_multiplicative_failure(H, D, primal_images), "primal"))
+        if bad is not None]
+    if failures:
+        raise DoubleConstructionError(
+            f"{min(failures)[1]} factor not a subalgebra")
 
-    r_pairs = [(tensor_vec(f, list(H.counit), unit_vec(f, n, i)),
-                tensor_vec(f, unit_vec(f, n, i), H.unit))
-               for i in range(n)]
-    return DoubleData(H, dual, D, r_pairs)
+    return DoubleData(H, dual, D, list(zip(primal_images, dual_images)))
 
 
 def r_matrix_vector(dd: DoubleData) -> dict:
@@ -240,7 +234,7 @@ def check_quasitriangular(dd: DoubleData) -> CheckResult:
 
 
 def check_double_integrals(dd: DoubleData, profile_H: FHProfile,
-                           profile_D: FHProfile | None = None) -> CheckResult:
+                           profile_D: FHProfile) -> CheckResult:
     """T (x) t with T = S^{-1}f is a two-sided integral of D(H); the two
     intermediate tensor identities behind that fact; S(t) (x) f is the
     Frobenius functional of D(H) with (T (x) t) pairing to 1; and D(H)
@@ -309,8 +303,6 @@ def check_double_integrals(dd: DoubleData, profile_H: FHProfile,
     res.add("(T (x) t) pairs to 1 against S(t) (x) f",
             psi(Element(D, Tt)) == f.one)
 
-    if profile_D is None:
-        profile_D = fh_profile(D)
     res.add("fh profile of D(H) passes", profile_D.passed)
     res.add("D(H) is unimodular", profile_D.unimodular)
     res.add("S(t) (x) f spans the right integrals of D(H)^*",
@@ -319,15 +311,13 @@ def check_double_integrals(dd: DoubleData, profile_H: FHProfile,
 
 
 def check_double_symmetric(dd: DoubleData,
-                           profile_D: FHProfile | None = None) -> CheckResult:
+                           profile_D: FHProfile) -> CheckResult:
     """Drinfel'd element u = sum S'(w_i) z_i implements S'^2 by
     conjugation; the double is a symmetric algebra with Nakayama
     automorphism S'^2 = inner."""
     D = dd.D
     f = D.field
     res = CheckResult()
-    if profile_D is None:
-        profile_D = fh_profile(D)
 
     u = Element(D, zero_vec(f, D.dim))
     S = D.antipode_matrix()

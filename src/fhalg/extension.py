@@ -12,7 +12,7 @@ from .frobenius import FrobeniusInternalError, FrobeniusSystem
 from .linalg import Matrix, solve_linear, unit_vec, vec_add, vec_scale, \
     zero_vec
 from .structure import CheckResult, Element, Functional, HopfData, \
-    _outer_sum, check_same_field, hit_right
+    _multiplicative_failure, _outer_sum, check_same_field, hit_right
 
 
 class NotHopfSubalgebra(ValueError):
@@ -55,14 +55,12 @@ def verify_pair(H: HopfData, K: HopfData, embedding: Matrix) -> SubalgebraPair:
         raise NotHopfSubalgebra("embedding is not injective")
     if embedding.matvec(K.unit) != H.unit:
         raise NotHopfSubalgebra("embedding does not preserve the unit")
-    images = [embedding.matvec(unit_vec(f, K.dim, i)) for i in range(K.dim)]
-    for i in range(K.dim):
-        for j in range(K.dim):
-            lhs = embedding.matvec(K.mul_vec(unit_vec(f, K.dim, i),
-                                             unit_vec(f, K.dim, j)))
-            if lhs != H.mul_vec(images[i], images[j]):
-                raise NotHopfSubalgebra(
-                    f"not multiplicative at {K.basis[i]} * {K.basis[j]}")
+    images = embedding.columns()
+    bad = _multiplicative_failure(K, H, images)
+    if bad is not None:
+        i, j = bad
+        raise NotHopfSubalgebra(
+            f"not multiplicative at {K.basis[i]} * {K.basis[j]}")
     for i in range(K.dim):
         if H.counit_of(images[i]) != K.counit[i]:
             raise NotHopfSubalgebra(f"counit mismatch at {K.basis[i]}")
@@ -233,19 +231,14 @@ def relative_F_and_derivative(pair: SubalgebraPair,
     g = pair.profile_K.f
     n = pair.profile_K.t
 
-    dn = []  # sparse Delta_K(n)
-    for i, ci in enumerate(n.coords):
-        if ci == f.zero:
-            continue
-        for j, k, c in K.comul[i]:
-            dn.append((j, k, f.mul(ci, c)))
+    dn = K.comul_of(n.coords)
     s_parts = {k: H.apply_antipode(pair.embed(K.basis_element(k)), -1)
-               for k in {k for _, k, _ in dn}}
+               for _, k in dn}
     F_cols = []
     for a_idx in range(H.dim):
         a = H.basis_element(a_idx)
         acc = zero_vec(f, K.dim)
-        for j, k, c in dn:
+        for (j, k), c in dn.items():
             w = phi(a * s_parts[k])
             if w != f.zero:
                 acc[j] = f.add(acc[j], f.mul(c, w))
@@ -289,55 +282,47 @@ def compose_transitive(outer: RelativeFrobeniusSystem, inner):
     if isinstance(inner, FrobeniusSystem):
         if inner.algebra is not K:
             raise ValueError("inner system must live on the subalgebra")
-        g = inner.phi
-        phi = Functional(H, outer.E.transpose().matvec(g.coords))
-        xs, ys = [], []
-        for x, y in zip(outer.xs, outer.ys):
-            for z, w in zip(inner.xs, inner.ys):
-                xs.append(x * pair.embed(z))
-                ys.append(pair.embed(Element(K, outer.beta_inv
-                                             .matvec(w.coords))) * y)
-        return FrobeniusSystem(H, phi, xs, ys)
-
-    if isinstance(inner, RelativeFrobeniusSystem):
+    elif isinstance(inner, RelativeFrobeniusSystem):
         if inner.pair.H is not K:
             raise ValueError("inner pair must extend the outer subalgebra")
-        T = inner.pair.K
-        emb_KT = inner.pair.embedding
-        # beta(T) = T
-        for i in range(T.dim):
-            img = outer.beta.matvec(emb_KT.matvec(unit_vec(f, T.dim, i)))
-            if solve_linear(emb_KT, img) is None:
-                raise ValueError("beta does not preserve the inner "
-                                 "subalgebra")
-        emb_HT = pair.embedding * emb_KT
-        new_pair = verify_pair(H, T, emb_HT)
-        E = inner.E * outer.E
-        # twist = gamma o (beta restricted to T)
-        beta_T_cols = []
-        for i in range(T.dim):
-            img = outer.beta.matvec(emb_KT.matvec(unit_vec(f, T.dim, i)))
-            beta_T_cols.append(solve_linear(emb_KT, img))
-        twist = inner.beta * Matrix.from_columns(f, beta_T_cols)
-        twist_inv = twist.inverse()
-        if twist_inv is None:
-            raise FrobeniusInternalError("composed twist is singular")
-        xs, ys = [], []
-        for x, y in zip(outer.xs, outer.ys):
-            for z, w in zip(inner.xs, inner.ys):
-                xs.append(x * pair.embed(z))
-                ys.append(pair.embed(Element(K, outer.beta_inv
-                                             .matvec(w.coords))) * y)
-        checks = CheckResult()
-        _relative_equations(H, emb_HT, E, twist_inv, xs, ys, checks,
-                            tag="composed: ")
-        if not checks.passed:
-            raise FrobeniusInternalError(
-                "composed system verification failed")
-        return ComposedSystem(new_pair, E, twist, xs, ys, checks)
+    else:
+        raise TypeError("inner must be a FrobeniusSystem or a "
+                        "RelativeFrobeniusSystem")
 
-    raise TypeError("inner must be a FrobeniusSystem or a "
-                    "RelativeFrobeniusSystem")
+    # product dual bases (x_i z_j, beta^{-1}(w_j) y_i)
+    zs = [pair.embed(z) for z in inner.xs]
+    ws = [pair.embed(Element(K, outer.beta_inv.matvec(w.coords)))
+          for w in inner.ys]
+    xs = [x * z for x in outer.xs for z in zs]
+    ys = [w * y for y in outer.ys for w in ws]
+
+    if isinstance(inner, FrobeniusSystem):
+        phi = Functional(H, outer.E.transpose().matvec(inner.phi.coords))
+        return FrobeniusSystem(H, phi, xs, ys)
+
+    T = inner.pair.K
+    emb_KT = inner.pair.embedding
+    # beta(T) = T, and the columns of beta restricted to T
+    beta_T_cols = []
+    for img in (outer.beta * emb_KT).columns():
+        col = solve_linear(emb_KT, img)
+        if col is None:
+            raise ValueError("beta does not preserve the inner subalgebra")
+        beta_T_cols.append(col)
+    emb_HT = pair.embedding * emb_KT
+    new_pair = verify_pair(H, T, emb_HT)
+    E = inner.E * outer.E
+    # twist = gamma o (beta restricted to T)
+    twist = inner.beta * Matrix.from_columns(f, beta_T_cols)
+    twist_inv = twist.inverse()
+    if twist_inv is None:
+        raise FrobeniusInternalError("composed twist is singular")
+    checks = CheckResult()
+    _relative_equations(H, emb_HT, E, twist_inv, xs, ys, checks,
+                        tag="composed: ")
+    if not checks.passed:
+        raise FrobeniusInternalError("composed system verification failed")
+    return ComposedSystem(new_pair, E, twist, xs, ys, checks)
 
 
 def check_norm_identities(pair: SubalgebraPair,

@@ -7,9 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .frobenius import FrobeniusSystem, _same_span, build_system, \
-    integral_space, integrals_and_norms, separability_element
-from .linalg import Matrix, matrix_order, solve_linear, unit_vec, \
-    vec_scale, zero_vec
+    integral_space, integrals_and_norms, separability_element, sys_gram
+from .linalg import Matrix, matrix_order, solve_linear, unit_vec, vec_scale
 from .structure import CheckResult, Element, Functional, HopfData, \
     StructureError, _outer_sum, _tensor_mismatch, convolution_inverse, \
     dual_hopf, hit_left, hit_right
@@ -81,7 +80,7 @@ def fh_profile(H: HopfData) -> FHProfile:
     checks.add("f(t) = 1", phi(t) == f.one)
 
     # t spans the right integral space of H
-    t_space = integral_space(H, "right")
+    t_space = rep.right_integrals
     checks.add("right integrals of H are 1-dimensional and spanned by t",
                len(t_space) == 1 and _proportional(f, t_space[0], t.coords))
 
@@ -110,17 +109,11 @@ def fh_profile(H: HopfData) -> FHProfile:
     checks.add("b equals the derivative of f o S^{-1} with respect to f",
                d_coords == b.coords)
 
-    # m is an algebra map H -> k (group-like in H*)
-    ok = m(H.one()) == f.one
-    for i in range(n):
-        for j in range(n):
-            lhs = m(H.basis_element(i) * H.basis_element(j))
-            if lhs != f.mul(m.coords[i], m.coords[j]):
-                ok = False
-                break
-        if not ok:
-            break
-    checks.add("m is an algebra map", ok)
+    # m is an algebra map H -> k (group-like in H*): m(1) = 1 and
+    # m(e_i e_j) = m(e_i) m(e_j), i.e. the Gram matrix of m is m m^T
+    checks.add("m is an algebra map",
+               m(H.one()) == f.one and sys_gram(H, m).rows ==
+               [[f.mul(a, b) for b in m.coords] for a in m.coords])
     # a t = m(a) t on basis
     ok = all((H.basis_element(j) * t).coords == vec_scale(f, m.coords[j],
                                                           t.coords)
@@ -167,7 +160,7 @@ def fh_profile(H: HopfData) -> FHProfile:
 
     # antipode from the norm formula S(a) = sum f(t_1 a) t_2, and from
     # the convolution inverse of the identity
-    S_norm = _antipode_from_integral(H, phi, t)
+    S_norm = _antipode_from_integral(H, system.gram, t)
     checks.add("S(a) = sum f(t_1 a) t_2", S_norm == H.antipode_matrix())
     S_conv = convolution_inverse(H, Matrix.identity(f, n))
     checks.add("antipode is the convolution inverse of Id",
@@ -203,37 +196,22 @@ def fh_profile(H: HopfData) -> FHProfile:
 
 def integral_dual_bases(H: HopfData, t: Element):
     """Dual-bases lists (S^{-1}(t_2), t_1) read off Delta(t)."""
-    f = H.field
     xs, ys = [], []
-    for i, ci in enumerate(t.coords):
-        if ci == f.zero:
-            continue
-        for j, k, c in H.comul[i]:
-            xs.append(H.apply_antipode(H.basis_element(k), -1)
-                      .scale(f.mul(ci, c)))
-            ys.append(H.basis_element(j))
+    for (j, k), c in H.comul_of(t.coords).items():
+        xs.append(H.apply_antipode(H.basis_element(k), -1).scale(c))
+        ys.append(H.basis_element(j))
     return xs, ys
 
 
-def _antipode_from_integral(H: HopfData, phi: Functional,
+def _antipode_from_integral(H: HopfData, gram: Matrix,
                             t: Element) -> Matrix:
+    """S(a) = sum f(t_1 a) t_2 with gram[j][a] = f(e_j e_a): S = C^T G
+    for the coefficient matrix C[j][k] of Delta(t)."""
     f = H.field
-    n = H.dim
-    dt = []  # sparse Delta(t)
-    for i, ci in enumerate(t.coords):
-        if ci == f.zero:
-            continue
-        for j, k, c in H.comul[i]:
-            dt.append((j, k, f.mul(ci, c)))
-    cols = []
-    for a_idx in range(n):
-        acc = zero_vec(f, n)
-        for j, k, c in dt:
-            v = phi(H.basis_element(j) * H.basis_element(a_idx))
-            if v != f.zero:
-                acc[k] = f.add(acc[k], f.mul(c, v))
-        cols.append(acc)
-    return Matrix.from_columns(f, cols)
+    dt = H.comul_of(t.coords)
+    C = Matrix(f, [[dt.get((j, k), f.zero) for k in range(H.dim)]
+                   for j in range(H.dim)])
+    return C.transpose() * gram
 
 
 def _proportional(field, u: list, v: list) -> bool:

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from .linalg import Matrix, kernel_basis, solve_linear, unit_vec, vec_add, \
     vec_scale, zero_vec
 from .structure import Element, Functional, HopfData, StructureError, \
-    _outer, _outer_sum, tensor_square_mul, tensor_vec
+    _evaluate, _multiplicative_failure, _outer, _outer_sum, \
+    tensor_square_mul, tensor_vec
 
 
 class DegenerateFunctional(ValueError):
@@ -37,7 +38,6 @@ class FrobeniusSystem:
         self.xs = list(xs)
         self.ys = list(ys)
         self._gram: Matrix | None = None
-        self._gram_inv: Matrix | None = None
         self._nakayama: Matrix | None = None
         self.verify_dual_bases()
 
@@ -54,23 +54,27 @@ class FrobeniusSystem:
                 "Gram matrix of phi is singular; phi is not a Frobenius "
                 "homomorphism")
         # phi(y_i e_k) = delta_ik  <=>  y_i coords = row i of G^{-1}
-        sys = cls(A, phi, [A.basis_element(i) for i in range(A.dim)],
-                  [Element(A, list(Ginv.rows[i])) for i in range(A.dim)])
-        sys._gram = G
-        sys._gram_inv = Ginv
-        return sys
+        return cls(A, phi, [A.basis_element(i) for i in range(A.dim)],
+                   [Element(A, list(Ginv.rows[i])) for i in range(A.dim)])
+
+    def _matrices(self) -> tuple[Matrix, Matrix]:
+        """The matrices X and Y whose columns are the x_i and the y_i."""
+        f = self.algebra.field
+        return (Matrix.from_columns(f, [x.coords for x in self.xs]),
+                Matrix.from_columns(f, [y.coords for y in self.ys]))
 
     def verify_dual_bases(self) -> None:
+        """sum_i x_i phi(y_i e_k) = e_k = sum_i phi(e_k x_i) y_i for every
+        basis element, i.e. X Y^T G = I = Y X^T G^T for the Gram matrix
+        G of phi."""
         A = self.algebra
-        f = A.field
+        X, Y = self._matrices()
+        G = self.gram
+        ident = Matrix.identity(A.field, A.dim).rows
+        left = (X * (Y.transpose() * G)).columns()
+        right = (Y * (X.transpose() * G.transpose())).columns()
         for k in range(A.dim):
-            a = A.basis_element(k)
-            acc1 = zero_vec(f, A.dim)
-            acc2 = zero_vec(f, A.dim)
-            for x, y in zip(self.xs, self.ys):
-                acc1 = vec_add(f, acc1, vec_scale(f, self.phi(y * a), x.coords))
-                acc2 = vec_add(f, acc2, vec_scale(f, self.phi(a * x), y.coords))
-            if acc1 != a.coords or acc2 != a.coords:
+            if left[k] != ident[k] or right[k] != ident[k]:
                 raise FrobeniusInternalError(
                     f"dual-bases equations fail on basis element {A.basis[k]}")
 
@@ -79,15 +83,6 @@ class FrobeniusSystem:
         if self._gram is None:
             self._gram = sys_gram(self.algebra, self.phi)
         return self._gram
-
-    @property
-    def gram_inv(self) -> Matrix:
-        if self._gram_inv is None:
-            inv = self.gram.inverse()
-            if inv is None:
-                raise DegenerateFunctional("Gram matrix singular")
-            self._gram_inv = inv
-        return self._gram_inv
 
     # -- derived objects ----------------------------------------------
 
@@ -141,32 +136,20 @@ class FrobeniusSystem:
 
     def nakayama(self) -> Matrix:
         """alpha with phi(alpha(a) b) = phi(b a), via
-        alpha(a) = sum_i phi(x_i a) y_i; verified to be an algebra
-        automorphism with phi o alpha = phi."""
+        alpha(a) = sum_i phi(x_i a) y_i, i.e. alpha = Y X^T G for the
+        Gram matrix G and the matrices X, Y with columns x_i, y_i;
+        verified to be an algebra automorphism with phi o alpha = phi."""
         if self._nakayama is not None:
             return self._nakayama
         A = self.algebra
-        f = A.field
-        cols = []
-        for k in range(A.dim):
-            a = A.basis_element(k)
-            acc = zero_vec(f, A.dim)
-            for x, y in zip(self.xs, self.ys):
-                acc = vec_add(f, acc, vec_scale(f, self.phi(x * a), y.coords))
-            cols.append(acc)
-        alpha = Matrix.from_columns(f, cols)
+        X, Y = self._matrices()
+        alpha = Y * (X.transpose() * self.gram)
         if alpha.inverse() is None:
             raise FrobeniusInternalError("Nakayama matrix is singular")
         if alpha.matvec(A.unit) != A.unit:
             raise FrobeniusInternalError("Nakayama does not fix the unit")
-        images = [alpha.matvec(unit_vec(f, A.dim, i)) for i in range(A.dim)]
-        for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = alpha.matvec(A.mul_vec(unit_vec(f, A.dim, i),
-                                             unit_vec(f, A.dim, j)))
-                if lhs != A.mul_vec(images[i], images[j]):
-                    raise FrobeniusInternalError(
-                        "Nakayama is not an algebra map")
+        if _multiplicative_failure(A, A, alpha.columns()) is not None:
+            raise FrobeniusInternalError("Nakayama is not an algebra map")
         phi_alpha = self.phi.compose_matrix(alpha)
         if phi_alpha.coords != self.phi.coords:
             raise FrobeniusInternalError("phi o alpha != phi")
@@ -175,12 +158,9 @@ class FrobeniusSystem:
 
 
 def sys_gram(A: HopfData, phi: Functional) -> Matrix:
-    f = A.field
-    rows = []
-    for i in range(A.dim):
-        ei = A.basis_element(i)
-        rows.append([phi(ei * A.basis_element(j)) for j in range(A.dim)])
-    return Matrix(f, rows)
+    """G[i][j] = phi(e_i e_j), read off the multiplication table."""
+    return Matrix(A.field, [[_evaluate(A.field, phi.coords, A.mul[i][j])
+                             for j in range(A.dim)] for i in range(A.dim)])
 
 
 def build_system(A: HopfData, phi: Functional) -> FrobeniusSystem:
@@ -373,16 +353,12 @@ def _invertible_in_span(A: HopfData, vecs: list) -> Element | None:
 
 
 def _check_trace_rescaling(sys: FrobeniusSystem, d: Element) -> bool:
-    """phi d (x -> phi(d x)) is a nondegenerate trace."""
-    A = sys.algebra
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ei, ej = A.basis_element(i), A.basis_element(j)
-            if sys.phi(d * ei * ej) != sys.phi(d * ej * ei):
-                return False
-    psi = Functional(A, [sys.phi(d * A.basis_element(j))
-                         for j in range(A.dim)])
-    return sys_gram(A, psi).inverse() is not None
+    """phi d (x -> phi(d x)) is a nondegenerate trace: its Gram matrix
+    is symmetric and invertible.  phi(d e_j) = sum_k d_k G[k][j] for
+    the Gram matrix G of phi."""
+    psi = Functional(sys.algebra, sys.gram.transpose().matvec(d.coords))
+    G = sys_gram(sys.algebra, psi)
+    return G == G.transpose() and G.inverse() is not None
 
 
 def _check_inner(sys: FrobeniusSystem, d: Element) -> bool:
@@ -449,21 +425,12 @@ def transform_system(sys: FrobeniusSystem, theta: Matrix,
     eps-invariant the norm is transported too, with chirality reversed
     by an anti-automorphism; this is verified."""
     A = sys.algebra
-    f = A.field
     theta_inv = theta.inverse()
     if theta_inv is None:
         raise ValueError("theta is not invertible")
-    # theta must be a (anti-)algebra map
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ti = theta.matvec(unit_vec(f, A.dim, i))
-            tj = theta.matvec(unit_vec(f, A.dim, j))
-            lhs = theta.matvec(A.mul_vec(unit_vec(f, A.dim, i),
-                                         unit_vec(f, A.dim, j)))
-            rhs = A.mul_vec(tj, ti) if anti else A.mul_vec(ti, tj)
-            if lhs != rhs:
-                kind = "anti-automorphism" if anti else "automorphism"
-                raise ValueError(f"theta is not an algebra {kind}")
+    if _multiplicative_failure(A, A, theta.columns(), anti) is not None:
+        kind = "anti-automorphism" if anti else "automorphism"
+        raise ValueError(f"theta is not an algebra {kind}")
     new_phi = sys.phi.compose_matrix(theta_inv)
     tx = [Element(A, theta.matvec(x.coords)) for x in sys.xs]
     ty = [Element(A, theta.matvec(y.coords)) for y in sys.ys]

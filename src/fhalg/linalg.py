@@ -205,18 +205,8 @@ def matrix_order(M: Matrix, bound: int) -> int | None:
 def vec_add(field: Field, u: list, v: list) -> list:
     return [field.add(a, b) for a, b in zip(u, v)]
 
-def vec_sub(field: Field, u: list, v: list) -> list:
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
 def vec_scale(field: Field, c, v: list) -> list:
     return [field.mul(c, a) for a in v]
-
-def vec_dot(field: Field, u: list, v: list):
-    s = field.zero
-    for a, b in zip(u, v):
-        if a != field.zero and b != field.zero:
-            s = field.add(s, field.mul(a, b))
-    return s
 
 def zero_vec(field: Field, n: int) -> list:
     return [field.zero] * n

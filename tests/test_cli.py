@@ -24,6 +24,12 @@ def test_verify_passes_on_preset(capsys):
     assert "result: pass" in out
 
 
+def test_human_output_shows_the_detail_of_passing_checks(capsys):
+    code, out, _ = run(capsys, "check", "preset:sweedler4")
+    assert code == 0
+    assert "[ok] symmetry criteria agree: symmetric=False" in out.splitlines()
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "report", "/no/such/file.json")
     assert code == 2

@@ -166,6 +166,17 @@ def test_rejects_non_subcoalgebra():
         verify_pair(H, K, emb)
 
 
+def test_rejects_non_multiplicative_embedding():
+    """C3 -> C4 sending g^k to g^k keeps the unit and g g = g^2 but
+    fails first at g g^2 = 1, whose image is g^3."""
+    H = preset("group:C4")
+    K = preset("group:C3")
+    emb = embedding_from_elements(H, [H.basis_element(k) for k in range(3)])
+    with pytest.raises(NotHopfSubalgebra,
+                       match=r"^not multiplicative at g \* g\^2$"):
+        verify_pair(H, K, emb)
+
+
 def test_rejects_unit_mismatch():
     H = preset("sweedler4")
     K = preset("group:C2")

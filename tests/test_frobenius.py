@@ -1,8 +1,11 @@
 """Frobenius systems, integrals, norms, derivatives, symmetry."""
 
+import re
+
 import pytest
 
-from fhalg import (GF, QQ, DegenerateFunctional, Element, Functional,
+from fhalg import (GF, QQ, DegenerateFunctional, Element,
+                   FrobeniusInternalError, FrobeniusSystem, Functional, Matrix,
                    build_system, derivative, find_frobenius_functional,
                    get_preset, integral_space, integrals_and_norms, nakayama,
                    separability_element, symmetric_test, tensor_system,
@@ -224,6 +227,43 @@ def test_transform_system_antipode_swaps_norm_chirality(sweedler):
     moved_rep = integrals_and_norms(H, moved)
     st = H.antipode.matvec(rep.right_norm.coords)
     assert moved_rep.left_norm.coords == st
+
+
+# the first failing basis element of a perturbed canonical system,
+# recorded with the earlier implementation that multiplied elements
+@pytest.mark.parametrize("name, which, witness", [
+    ("sweedler4", "2 y_2", "x"), ("sweedler4", "x_1 + x_0", "x"),
+    ("sweedler4", "swap x_0, x_1", "1"),
+    ("group:S3", "2 y_2", "(12)"), ("group:S3", "x_1 + x_0", "(23)"),
+    ("group:S3", "swap x_0, x_1", "e"),
+    ("truncpoly:3", "2 y_2", "1"), ("truncpoly:3", "x_1 + x_0", "X"),
+])
+def test_wrong_dual_bases_name_the_failing_basis_element(name, which,
+                                                         witness):
+    sys = system(name)
+    xs, ys = list(sys.xs), list(sys.ys)
+    if which == "2 y_2":
+        ys[2] = ys[2].scale(sys.algebra.field.from_int(2))
+    elif which == "x_1 + x_0":
+        xs[1] = xs[1] + xs[0]
+    else:
+        xs[0], xs[1] = xs[1], xs[0]
+    with pytest.raises(FrobeniusInternalError, match=(
+            f"^dual-bases equations fail on basis element "
+            f"{re.escape(witness)}$")):
+        FrobeniusSystem(sys.algebra, sys.phi, xs, ys)
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_transform_system_rejects_a_non_multiplicative_map(sweedler, anti):
+    """g -> 2g is invertible but (2g)(2g) = 4 != 1 = theta(g g)."""
+    H = sweedler
+    f = H.field
+    theta = Matrix.identity(f, H.dim)
+    theta.rows[2][2] = f.from_int(2)
+    kind = "anti-automorphism" if anti else "automorphism"
+    with pytest.raises(ValueError, match=f"^theta is not an algebra {kind}$"):
+        transform_system(system("sweedler4"), theta, anti=anti)
 
 
 def test_tensor_system_norm_is_tensor_of_norms():

@@ -6,17 +6,118 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhalg import (GF, QQ, Functional, Matrix, convolution_inverse, dual_hopf,
-                   get_preset, hit_left, hit_right, tensor_algebra, variant,
-                   verify_axioms)
+from fhalg import (GF, QQ, Functional, HopfData, Matrix, convolution_inverse,
+                   dual_hopf, get_preset, hit_left, hit_right, tensor_algebra,
+                   variant, verify_axioms)
 from fhalg.structure import tensor_square_mul
 from conftest import HOPF_PRESETS, PRESET_NAMES, double, preset
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_axioms_pass(name):
-    report = verify_axioms(preset(name))
+@pytest.mark.parametrize("name", PRESET_NAMES + ["D(sweedler4)"])
+def test_axioms_pass(name, monkeypatch):
+    """The axioms are read off the stored table, never multiplied out."""
+    H = double("sweedler4").D if name == "D(sweedler4)" else preset(name)
+
+    def refuse(*args):
+        raise AssertionError("verify_axioms multiplied coordinate vectors")
+
+    monkeypatch.setattr(HopfData, "mul_vec", refuse)
+    report = verify_axioms(H)
     assert report.passed, str(report)
+
+
+def _corrupt(name, which):
+    """name's structure with one deliberately wrong entry."""
+    H = preset(name)
+    f = H.field
+    one, two = f.one, f.from_int(2)
+    mul, comul = copy.deepcopy(H.mul), copy.deepcopy(H.comul)
+    counit, S = list(H.counit), [list(r) for r in H.antipode.rows]
+    if which == "associativity":
+        mul[1][2] = [(3, one)]                  # x g = gx, not -gx
+    elif which == "unit":
+        mul[0][1] = [(1, two)]                  # 1 x = 2x
+    elif which == "eps(1)":
+        counit[0] = two
+    elif which == "counit-algebra-map":
+        counit[1] = one                         # eps(x) = 1
+    elif which == "coassociativity":
+        comul[1] = [(1, 1, one), (2, 1, one)]   # Delta(x) = x(x)x + g(x)x
+    elif which == "counit-axiom":
+        comul[0] = [(0, 0, two)]                # Delta(1) = 2 1(x)1
+    elif which == "comul-algebra-map":
+        comul[1] = [(0, 1, one), (1, 0, one)]   # x primitive
+    elif which == "antipode":
+        S[3][1] = one                           # S(x) = gx, not -gx
+    elif which == "antipode-invertible":
+        S[3][1] = f.zero                        # S(x) = 0
+    elif which == "F_13 associativity":
+        mul[1][1] = [(2, two)]                  # x x = 2 x^2
+    return H.copy_with(mul=mul, comul=comul, counit=counit,
+                       antipode=Matrix(f, S))
+
+
+# (failing check, witness) of each corrupted table, recorded with the
+# earlier implementation that multiplied dense unit vectors
+AXIOM_WITNESSES = {
+    ("sweedler4", "associativity"): [
+        ("associativity", "(e1*e2)*e2 != e1*(e2*e2)"),
+        ("comul-algebra-map", "Delta(e1*e1) != Delta(e1)Delta(e1)"),
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e3")],
+    ("sweedler4", "unit"): [
+        ("associativity", "(e0*e0)*e1 != e0*(e0*e1)"),
+        ("unit", "unit fails on e1"),
+        ("comul-algebra-map", "Delta(e1*e1) != Delta(e1)Delta(e1)"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e3")],
+    ("sweedler4", "eps(1)"): [
+        ("counit-algebra-map", "eps(1) != 1"),
+        ("counit-axiom", "counit axiom fails on e0"),
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e0"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e0")],
+    ("sweedler4", "counit-algebra-map"): [
+        ("counit-algebra-map", "eps(e1*e1) != eps(e1)eps(e1)"),
+        ("counit-axiom", "counit axiom fails on e1"),
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e1"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e1")],
+    ("sweedler4", "coassociativity"): [
+        ("coassociativity", "coassociativity fails on e1"),
+        ("counit-axiom", "counit axiom fails on e1"),
+        ("comul-algebra-map", "Delta(e1*e2) != Delta(e1)Delta(e2)"),
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e1"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e1")],
+    ("sweedler4", "counit-axiom"): [
+        ("coassociativity", "coassociativity fails on e1"),
+        ("counit-axiom", "counit axiom fails on e0"),
+        ("comul-algebra-map", "Delta(1) != 1 (x) 1"),
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e0"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e0")],
+    ("sweedler4", "comul-algebra-map"): [
+        ("comul-algebra-map", "Delta(e1*e1) != Delta(e1)Delta(e1)"),
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e1"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e1")],
+    ("sweedler4", "antipode"): [
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e1"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e1")],
+    ("sweedler4", "antipode-invertible"): [
+        ("antipode-left", "sum S(a_1)a_2 != eps(a)1 at e1"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e1"),
+        ("antipode-invertible", "antipode matrix singular")],
+    ("taft:3:13", "F_13 associativity"): [
+        ("associativity", "(e1*e1)*e3 != e1*(e1*e3)"),
+        ("comul-algebra-map", "Delta(e1*e1) != Delta(e1)Delta(e1)"),
+        ("antipode-right", "sum a_1 S(a_2) != eps(a)1 at e8")],
+}
+
+
+@pytest.mark.parametrize("case", AXIOM_WITNESSES, ids=" ".join)
+def test_corrupted_table_names_its_witnesses(case):
+    report = verify_axioms(_corrupt(*case))
+    assert [c.name for c in report.checks] == [
+        "associativity", "unit", "counit-algebra-map", "coassociativity",
+        "counit-axiom", "comul-algebra-map", "antipode-left",
+        "antipode-right", "antipode-invertible"]
+    assert [(c.name, c.detail) for c in report.failures()] == \
+        AXIOM_WITNESSES[case]
 
 
 @pytest.mark.parametrize("name", HOPF_PRESETS)
