@@ -216,8 +216,8 @@ def _antipode_from_integral(H: HopfData, gram: Matrix,
 
 def _proportional(field, u: list, v: list) -> bool:
     """u and v span the same line (both nonzero)."""
-    iu = next((i for i, c in enumerate(u) if c != field.zero), None)
-    iv = next((i for i, c in enumerate(v) if c != field.zero), None)
+    iu = next((i for i, c in enumerate(u) if c), None)
+    iv = next((i for i, c in enumerate(v) if c), None)
     if iu is None or iv is None or iu != iv:
         return False
     r = field.div(v[iu], u[iu])

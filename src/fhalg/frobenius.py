@@ -190,13 +190,13 @@ def integral_space(A: HopfData, side: str) -> list:
         raise StructureError("integrals need an augmentation")
     f = A.field
     n = A.dim
-    ident = Matrix.identity(f, n)
     rows = []
     for j in range(n):
         ej = unit_vec(f, n, j)
         M = A.right_mul_matrix(ej) if side == "right" else A.left_mul_matrix(ej)
-        shifted = M - ident.scale(A.counit[j])
-        rows.extend(shifted.rows)
+        for k in range(n):
+            M.rows[k][k] = f.sub(M.rows[k][k], A.counit[j])
+        rows.extend(M.rows)
     return kernel_basis(Matrix(f, rows))
 
 
@@ -392,15 +392,15 @@ def symmetric_test(sys: FrobeniusSystem) -> SymmetryReport:
     # d alpha(e_j) = e_j d, linear in d
     alpha = sys.nakayama()
     rows = []
-    for j in range(A.dim):
-        aj = alpha.matvec(unit_vec(f, A.dim, j))
+    for j, aj in enumerate(alpha.columns()):
         Rm = A.right_mul_matrix(aj)     # d -> d * alpha(e_j)
         Lm = A.left_mul_matrix(unit_vec(f, A.dim, j))  # d -> e_j * d
         rows.extend((Rm - Lm).rows)
     twisted_centre = kernel_basis(Matrix(f, rows))
 
-    products = [A.mul_vec(d, unit_vec(f, A.dim, j))
-                for d in twisted_centre for j in range(A.dim)]
+    # the products d e_j are the columns of d's left multiplication
+    products = [col for d in twisted_centre
+                for col in A.left_mul_matrix(d).columns()]
     u = None
     if products and Matrix(f, products).rank() == A.dim:
         u = _invertible_in_span(A, twisted_centre)

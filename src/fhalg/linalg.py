@@ -2,7 +2,11 @@
 
 Elimination uses deterministic pivoting (leftmost column, first nonzero
 row) so every echelon form, kernel basis and reported solution is
-byte-for-byte reproducible.
+byte-for-byte reproducible.  It is sparse-aware without a second code
+path: entries are tested by truthiness (a zero ``Fraction`` and the
+residue 0 are both false), and each step scales and eliminates only the
+nonzero columns of the pivot row, in rows whose pivot-column entry is
+nonzero.  The result is the one the full-row elimination gives.
 """
 
 from __future__ import annotations
@@ -75,15 +79,16 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         f = self.field
-        zero = f.zero
         ot = other.transpose().rows
         out = []
         for row in self.rows:
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
             out_row = []
             for col in ot:
-                s = zero
-                for a, b in zip(row, col):
-                    if a != zero and b != zero:
+                s = f.zero
+                for k, a in nonzero:
+                    b = col[k]
+                    if b:
                         s = f.add(s, f.mul(a, b))
                 out_row.append(s)
             out.append(out_row)
@@ -93,12 +98,13 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch in matvec")
         f = self.field
-        zero = f.zero
+        nonzero = [(k, b) for k, b in enumerate(v) if b]
         out = []
         for row in self.rows:
-            s = zero
-            for a, b in zip(row, v):
-                if a != zero and b != zero:
+            s = f.zero
+            for k, b in nonzero:
+                a = row[k]
+                if a:
                     s = f.add(s, f.mul(a, b))
             out.append(s)
         return out
@@ -106,27 +112,29 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and pivot columns."""
         f = self.field
+        mul, sub = f.mul, f.sub
         m = [list(r) for r in self.rows]
         pivots = []
         piv_r = 0
         for c in range(self.ncols):
             if piv_r >= self.nrows:
                 break
-            sel = None
-            for r in range(piv_r, self.nrows):
-                if m[r][c] != f.zero:
-                    sel = r
-                    break
+            sel = next((r for r in range(piv_r, self.nrows) if m[r][c]),
+                       None)
             if sel is None:
                 continue
             m[piv_r], m[sel] = m[sel], m[piv_r]
-            inv = f.inv(m[piv_r][c])
-            m[piv_r] = [f.mul(inv, a) for a in m[piv_r]]
-            for r in range(self.nrows):
-                if r != piv_r and m[r][c] != f.zero:
-                    factor = m[r][c]
-                    m[r] = [f.sub(a, f.mul(factor, b))
-                            for a, b in zip(m[r], m[piv_r])]
+            prow = m[piv_r]
+            # rows from piv_r down are zero left of c
+            cols = [j for j in range(c, self.ncols) if prow[j]]
+            inv = f.inv(prow[c])
+            for j in cols:
+                prow[j] = mul(inv, prow[j])
+            for r, row in enumerate(m):
+                factor = row[c]
+                if factor and r != piv_r:
+                    for j in cols:
+                        row[j] = sub(row[j], mul(factor, prow[j]))
             pivots.append(c)
             piv_r += 1
         return Matrix(f, m), pivots
@@ -139,16 +147,15 @@ class Matrix:
             raise ValueError("inverse of non-square matrix")
         f = self.field
         n = self.nrows
-        aug = Matrix(f, [self.rows[i] + Matrix.identity(f, n).rows[i]
-                         for i in range(n)])
+        ident = Matrix.identity(f, n).rows
+        aug = Matrix(f, [row + e for row, e in zip(self.rows, ident)])
         red, pivots = aug.rref()
         if pivots != list(range(n)):
             return None
         return Matrix(f, [row[n:] for row in red.rows])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for r in self.rows for a in r)
+        return not any(a for r in self.rows for a in r)
 
     def __repr__(self):
         fmt = self.field.format

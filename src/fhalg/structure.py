@@ -11,9 +11,10 @@ Conventions, fixed once for the whole package:
   ``[i, j, k, "c"]`` entries, grouped by their leading indices)
 * checks read a basis product e_i * e_j or a coproduct Delta(e_i) off
   these lists and never recompute it by multiplying unit vectors: the
-  axioms, the algebra-map checks (``_multiplicative_failure``) and the
+  axioms, the algebra-map checks (``_multiplicative_failure``), the
   Gram matrix phi(e_i e_j) of a functional, through which the Frobenius
-  checks evaluate phi on products
+  checks evaluate phi on products, and the left and right
+  multiplication matrices, from which the linear systems are built
 * antipode matrix acts on coordinate columns: S(e_j) = sum_i S[i][j] e_i
 * an element of A (x) A is a dict {(i, j): c} meaning sum c e_i (x) e_j,
   and an element of A (x) A (x) A a dict {(i, j, k): c}; only nonzero
@@ -128,8 +129,7 @@ class Element:
                 and self.algebra.field == other.algebra.field)
 
     def is_zero(self) -> bool:
-        z = self.algebra.field.zero
-        return all(c == z for c in self.coords)
+        return not any(self.coords)
 
     def inverse(self) -> "Element | None":
         """Two-sided inverse, or None.  xy = 1 forces yx = 1 and both are
@@ -172,7 +172,7 @@ class Functional:
         f = self.algebra.field
         s = f.zero
         for a, b in zip(self.coords, coords):
-            if a != f.zero and b != f.zero:
+            if a and b:
                 s = f.add(s, f.mul(a, b))
         return s
 
@@ -190,7 +190,7 @@ class Functional:
             for j, k, c in A.comul[i]:
                 a = self.coords[j]
                 b = other.coords[k]
-                if a != f.zero and b != f.zero:
+                if a and b:
                     s = f.add(s, f.mul(c, f.mul(a, b)))
             out[i] = s
         return Functional(A, out)
@@ -285,14 +285,13 @@ class HopfData:
 
     def mul_vec(self, a, b):
         f = self.field
-        z = f.zero
         out = zero_vec(f, self.dim)
         for i, ai in enumerate(a):
-            if ai == z:
+            if not ai:
                 continue
             row = self.mul[i]
             for j, bj in enumerate(b):
-                if bj == z:
+                if not bj:
                     continue
                 cij = f.mul(ai, bj)
                 for k, c in row[j]:
@@ -300,14 +299,27 @@ class HopfData:
         return out
 
     def left_mul_matrix(self, a) -> Matrix:
-        cols = [self.mul_vec(a, unit_vec(self.field, self.dim, j))
-                for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        """Matrix of x -> a x, read off the table: entry (k, j) is
+        sum_i a_i c_ij^k."""
+        return self._mul_matrix(a, lambda i, j: self.mul[i][j])
 
     def right_mul_matrix(self, a) -> Matrix:
-        cols = [self.mul_vec(unit_vec(self.field, self.dim, j), a)
-                for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        """Matrix of x -> x a, read off the table: entry (k, j) is
+        sum_i a_i c_ji^k."""
+        return self._mul_matrix(a, lambda i, j: self.mul[j][i])
+
+    def _mul_matrix(self, a, products) -> Matrix:
+        """Matrix with column j = sum_i a_i products(i, j), where
+        products(i, j) is a stored (k, c) list."""
+        f = self.field
+        rows = [[f.zero] * self.dim for _ in range(self.dim)]
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j in range(self.dim):
+                for k, c in products(i, j):
+                    rows[k][j] = f.add(rows[k][j], f.mul(ai, c))
+        return Matrix(f, rows)
 
     # -- coalgebra operations -----------------------------------------
 
@@ -315,7 +327,7 @@ class HopfData:
         """Delta(a) as a tensor {(j, k): c}."""
         f = self.field
         return _sparse_sum(f, (((j, k), f.mul(ai, c))
-                               for i, ai in enumerate(a) if ai != f.zero
+                               for i, ai in enumerate(a) if ai
                                for j, k, c in self.comul[i]))
 
     def counit_of(self, a):
@@ -324,7 +336,7 @@ class HopfData:
         f = self.field
         s = f.zero
         for e, c in zip(self.counit, a):
-            if e != f.zero and c != f.zero:
+            if e and c:
                 s = f.add(s, f.mul(e, c))
         return s
 
@@ -377,7 +389,7 @@ def act(g: Functional, a: Element, side: str) -> Element:
     f = A.field
     out = zero_vec(f, A.dim)
     for i, ai in enumerate(a.coords):
-        if ai == f.zero:
+        if not ai:
             continue
         for j, k, c in A.comul[i]:
             if side == "left":
@@ -388,7 +400,7 @@ def act(g: Functional, a: Element, side: str) -> Element:
                 tgt = k
             else:
                 raise ValueError("side must be 'left' or 'right'")
-            if gv != f.zero:
+            if gv:
                 out[tgt] = f.add(out[tgt], f.mul(ai, f.mul(c, gv)))
     return Element(A, out)
 
@@ -424,7 +436,7 @@ def _sparse_sum(f: Field, terms) -> dict:
     acc: dict = {}
     for key, v in terms:
         acc[key] = f.add(acc[key], v) if key in acc else v
-    return {key: v for key, v in acc.items() if v != f.zero}
+    return {key: v for key, v in acc.items() if v}
 
 
 def _outer(f: Field, *vecs) -> dict:
@@ -432,7 +444,7 @@ def _outer(f: Field, *vecs) -> dict:
     as {(i, j, ...): c}."""
     out = {(): f.one}
     for v in vecs:
-        nonzero = [(i, c) for i, c in enumerate(v) if c != f.zero]
+        nonzero = [(i, c) for i, c in enumerate(v) if c]
         out = {key + (i,): f.mul(a, c) for key, a in out.items()
                for i, c in nonzero}
     return out
@@ -500,7 +512,7 @@ def _multiplicative_failure(A: "HopfData", B: "HopfData", images,
     theta(e_i) theta(e_j) (theta(e_j) theta(e_i) when anti) for the
     linear map theta: A -> B with theta(e_k) = images[k], or None."""
     f = B.field
-    imgs = [[(k, c) for k, c in enumerate(v) if c != f.zero] for v in images]
+    imgs = [[(k, c) for k, c in enumerate(v) if c] for v in images]
     for i in range(A.dim):
         for j in range(A.dim):
             lhs = _sparse_sum(f, ((m, f.mul(c, a)) for k, c in A.mul[i][j]
@@ -532,7 +544,7 @@ def verify_axioms(H: HopfData) -> CheckResult:
         for i in range(n) for j in range(n) for l in range(n)
         if _product(H, mul[i][j], e[l]) != _product(H, e[i], mul[j][l])))
 
-    one = [(k, u) for k, u in enumerate(H.unit) if u != f.zero]
+    one = [(k, u) for k, u in enumerate(H.unit) if u]
     first("unit", (f"unit fails on e{i}" for i in range(n)
                    if _product(H, one, e[i]) != {i: f.one}
                    or _product(H, e[i], one) != {i: f.one}))
@@ -576,8 +588,8 @@ def verify_axioms(H: HopfData) -> CheckResult:
 
     if H.antipode is not None:
         S = H.antipode
-        s_cols = [[(l, row[j]) for l, row in enumerate(S.rows)
-                   if row[j] != f.zero] for j in range(n)]
+        s_cols = [[(l, row[j]) for l, row in enumerate(S.rows) if row[j]]
+                  for j in range(n)]
 
         def eps_one(i) -> dict:
             return _sparse_sum(f, ((k, f.mul(eps[i], u)) for k, u in one))
@@ -685,19 +697,17 @@ def convolution_inverse(H: HopfData, F: Matrix) -> Matrix | None:
         raise StructureError("convolution inverse needs a bialgebra")
     f = H.field
     n = H.dim
-    # precompute e_u * F(e_k) for all u, k
-    Fcols = [F.matvec(unit_vec(f, n, k)) for k in range(n)]
-    prod_uk = [[H.mul_vec(unit_vec(f, n, u), Fcols[k]) for k in range(n)]
-               for u in range(n)]
+    # prods[k][r][u]: coefficient of e_r in e_u * F(e_k)
+    Fcols = F.columns()
+    prods = [H.right_mul_matrix(Fk).rows for Fk in Fcols]
     rows, rhs = [], []
     for i in range(n):
         sparse = H.comul[i]
         for r in range(n):
             row = [f.zero] * (n * n)
             for j, k, c in sparse:
-                for u in range(n):
-                    v = prod_uk[u][k][r]
-                    if v != f.zero:
+                for u, v in enumerate(prods[k][r]):
+                    if v:
                         col = u * n + j
                         row[col] = f.add(row[col], f.mul(c, v))
             rows.append(row)
@@ -707,7 +717,7 @@ def convolution_inverse(H: HopfData, F: Matrix) -> Matrix | None:
         return None
     G = Matrix(f, [[sol[u * n + j] for j in range(n)] for u in range(n)])
     # two-sided check: sum F(a_1) G(a_2) = eps(a) 1
-    Gcols = [G.matvec(unit_vec(f, n, k)) for k in range(n)]
+    Gcols = G.columns()
     for i in range(n):
         acc = zero_vec(f, n)
         for j, k, c in H.comul[i]:

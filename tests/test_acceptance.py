@@ -57,7 +57,7 @@ def test_1_axiom_gate():
     for name in PRESET_NAMES:
         with budget(1.0, f"axioms for {name}"):
             assert verify_axioms(preset(name)).passed, name
-    print("\n[1/9] axiom gate over the full preset catalog: PASS")
+    print("\n[1/10] axiom gate over the full preset catalog: PASS")
 
 
 def test_2_frobenius_core():
@@ -68,7 +68,7 @@ def test_2_frobenius_core():
             assert sys.casimir_ok(), name
             assert sys.center_sum_ok(), name
             assert sys.exchange_ok(), name
-    print("\n[2/9] dual bases, Casimir, center, exchange: PASS")
+    print("\n[2/10] dual bases, Casimir, center, exchange: PASS")
 
 
 def test_3_integrals_norms_modular():
@@ -104,7 +104,7 @@ def test_3_integrals_norms_modular():
     alpha = nakayama(sys)
     bad = rep.modular.scale(A.field.from_int(2))
     assert bad.compose_matrix(alpha).coords != A.counit
-    print("\n[3/9] integral/norm/modular laws and implications: PASS")
+    print("\n[3/10] integral/norm/modular laws and implications: PASS")
 
 
 def test_4_distinguished_elements():
@@ -127,7 +127,7 @@ def test_4_distinguished_elements():
     S2 = preset("taft:3:13").antipode * preset("taft:3:13").antipode
     assert pt.ord_S == 6          # S^4 != Id: the formula is exercised
     assert matrix_order(S2, 36) == 3
-    print("\n[4/9] distinguished group-likes, Radford and S^4 laws: PASS")
+    print("\n[4/10] distinguished group-likes, Radford and S^4 laws: PASS")
 
 
 def test_5_involutivity_conclusions():
@@ -139,7 +139,7 @@ def test_5_involutivity_conclusions():
     assert rep.applicable and not rep.coseparable
     assert not profile("sweedler4").involutive
     assert rep.checks.passed
-    print("\n[5/9] involutivity conclusions without false positives: PASS")
+    print("\n[5/10] involutivity conclusions without false positives: PASS")
 
 
 def test_6_subalgebra_pairs():
@@ -170,7 +170,7 @@ def test_6_subalgebra_pairs():
             assert check_norm_identities(pair, rel).passed
         composed = compose_transitive(rel2, pair2.profile_K.system)
         composed.verify_dual_bases()
-    print("\n[6/9] twisted Frobenius extension suite: PASS")
+    print("\n[6/10] twisted Frobenius extension suite: PASS")
 
 
 def test_7_order_bounds():
@@ -187,7 +187,7 @@ def test_7_order_bounds():
             D = double(name).D
             n = matrix_order(D.antipode, 4 * D.dim)
             assert n is not None and (4 * D.dim) % n == 0, name
-    print("\n[7/9] order theorems with hard bounds: PASS")
+    print("\n[7/10] order theorems with hard bounds: PASS")
 
 
 def test_8_quantum_double():
@@ -201,7 +201,7 @@ def test_8_quantum_double():
         assert p_D.unimodular
         assert check_double_integrals(dd, profile("sweedler4"), p_D).passed
         assert check_double_symmetric(dd, p_D).passed
-    print("\n[8/9] quantum double with R-matrix verification: PASS")
+    print("\n[8/10] quantum double with R-matrix verification: PASS")
 
 
 def test_9_cli_contract(tmp_path, capsys):
@@ -224,4 +224,14 @@ def test_9_cli_contract(tmp_path, capsys):
     save_spec(preset("taft:3:13"), str(p1))
     save_spec(load_spec(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-    print("\n[9/9] CLI exit codes, JSON and serialization: PASS")
+    print("\n[9/10] CLI exit codes, JSON and serialization: PASS")
+
+
+def test_10_double_of_s3_cli(capsys):
+    """D(S3) has dimension 36: its antipode solve in fh_profile is a
+    1296 x 1296 exact system, the largest elimination on this path."""
+    capsys.readouterr()
+    with budget(8.0, "fhalg --json double preset:group:S3"):
+        assert cli_main(["--json", "double", "preset:group:S3"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    print("\n[10/10] double of group:S3 through the CLI: PASS")

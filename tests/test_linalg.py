@@ -148,3 +148,77 @@ def test_matrix_order():
                        [Fraction(1), Fraction(0), Fraction(0)]])
     assert matrix_order(perm, 5) == 3
     assert matrix_order(perm.scale(Fraction(2)), 10) is None
+
+
+# -- sparse elimination against a full-row reference ---------------------
+
+SPARSE_FIELDS = [QQ, GF(2), GF(7), GF(13)]
+
+
+def _reference_rref(M):
+    """Textbook Gauss-Jordan with the same pivoting (leftmost column,
+    first nonzero row), rewriting every entry of every row."""
+    f = M.field
+    m = [list(r) for r in M.rows]
+    pivots, piv_r = [], 0
+    for c in range(M.ncols):
+        sel = next((r for r in range(piv_r, M.nrows)
+                    if not f.is_zero(m[r][c])), None)
+        if sel is None:
+            continue
+        m[piv_r], m[sel] = m[sel], m[piv_r]
+        inv = f.inv(m[piv_r][c])
+        m[piv_r] = [f.mul(inv, a) for a in m[piv_r]]
+        for r in range(M.nrows):
+            if r != piv_r:
+                factor = m[r][c]
+                m[r] = [f.sub(a, f.mul(factor, b))
+                        for a, b in zip(m[r], m[piv_r])]
+        pivots.append(c)
+        piv_r += 1
+        if piv_r == M.nrows:
+            break
+    return Matrix(f, m), pivots
+
+
+def _sparse_matrix(field, data, nr, nc):
+    """An nr x nc matrix with at most 2 (nr + nc) nonzero entries."""
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+        st.integers(-4, 4), max_size=2 * (nr + nc)))
+    return Matrix(field, [[field.from_int(cells.get((i, j), 0))
+                           for j in range(nc)] for i in range(nr)])
+
+
+def _shaped_sparse_matrix(field, data, shape):
+    small, big = data.draw(st.integers(1, 5)), data.draw(st.integers(6, 12))
+    if shape == "wide":
+        return _sparse_matrix(field, data, small, big)
+    if shape == "tall":
+        return _sparse_matrix(field, data, big, small)
+    # rank at most k < min(nr, nc): a product through a k-dimensional space
+    nr, nc = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))
+    k = data.draw(st.integers(0, min(nr, nc) - 1))
+    if k == 0:
+        return Matrix.zeros(field, nr, nc)
+    return (_sparse_matrix(field, data, nr, k)
+            * _sparse_matrix(field, data, k, nc))
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "rank-deficient"])
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_rref_matches_full_row_elimination(field, shape, data):
+    M = _shaped_sparse_matrix(field, data, shape)
+    before = [list(r) for r in M.rows]
+    R, pivots = M.rref()
+    assert M.rows == before     # elimination works on a copy
+    ref, ref_pivots = _reference_rref(M)
+    assert R == ref
+    assert pivots == ref_pivots
+    if shape == "rank-deficient":
+        assert len(pivots) < min(M.nrows, M.ncols)
+    if field.kind == "Fp":
+        assert all(isinstance(a, int) and a in range(field.p)
+                   for row in R.rows for a in row)

@@ -292,3 +292,44 @@ def test_tensor_square_mul_matches_the_tensor_algebra(name, data):
     product = tensor_algebra(A, A).mul_vec(dense(u), dense(v))
     assert tensor_square_mul(A, u, v) == \
         {divmod(p, n): c for p, c in enumerate(product) if c != f.zero}
+
+
+def _sparse_element(A, data):
+    """Coordinates of a random element with at most three nonzero
+    coefficients."""
+    cells = data.draw(st.dictionaries(st.integers(0, A.dim - 1),
+                                      st.integers(-3, 3), max_size=3))
+    return [A.field.from_int(cells.get(i, 0)) for i in range(A.dim)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_multiplication_matrices_match_products(name, data):
+    """left_mul_matrix(a) and right_mul_matrix(a), read off the table,
+    have the products a e_j and e_j a as their columns."""
+    A = preset(name)
+    f, n = A.field, A.dim
+    a = _sparse_element(A, data)
+    units = [A.basis_element(j).coords for j in range(n)]
+    assert A.left_mul_matrix(a) == Matrix.from_columns(
+        f, [A.mul_vec(a, e) for e in units])
+    assert A.right_mul_matrix(a) == Matrix.from_columns(
+        f, [A.mul_vec(e, a) for e in units])
+
+
+@pytest.mark.parametrize("name", HOPF_PRESETS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_element_inverse(name, data):
+    """An element with eps(a) = 0 is no unit, since eps(a) eps(a^-1) = 1;
+    an inverse that is found is two-sided."""
+    A = preset(name)
+    f = A.field
+    a = A.element(_sparse_element(A, data))
+    assert a.inverse() is None or (a * a.inverse() == A.one()
+                                   == a.inverse() * a)
+    b = a - A.one().scale(A.counit_of(a.coords))
+    assert A.counit_of(b.coords) == f.zero
+    assert b.inverse() is None
+    assert A.one().inverse() == A.one()
