@@ -170,7 +170,8 @@ def fh_profile(H: HopfData) -> FHProfile:
     unimodular = rep.unimodular
     checks.add("unimodular iff m = eps",
                unimodular == (m.coords == H.counit))
-    dual_left = integral_space(Hd, "left")
+    # S* maps the right integrals of H* onto its left integrals
+    dual_left = [Hd.antipode.matvec(v) for v in f_space]
     counimodular = _same_span(f, f_space, dual_left)
     checks.add("counimodular iff b = 1", counimodular == (b.coords == H.unit))
     separable = separability_element(system) is not None

@@ -6,10 +6,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import Matrix, kernel_basis, solve_linear, unit_vec, vec_add, \
-    vec_scale, zero_vec
+from .linalg import Matrix, kernel_basis, solve_linear, sparse_solve, \
+    unit_vec, vec_add, vec_scale, zero_vec
 from .structure import Element, Functional, HopfData, StructureError, \
-    _evaluate, _multiplicative_failure, _outer, _outer_sum, \
+    _evaluate, _multiplicative_failure, _outer, _outer_sum, _sparse_sum, \
     tensor_square_mul, tensor_vec
 
 
@@ -288,17 +288,21 @@ def derivative(sys1: FrobeniusSystem, sys2: FrobeniusSystem) -> Derivative:
 
 def separability_element(sys: FrobeniusSystem) -> Element | None:
     """Solves sum_i x_i a y_i = 1; a solution exists iff the algebra is
-    separable."""
+    separable.  With the Frobenius element sum c e_j (x) e_k, column u
+    is sum c (e_j e_u) e_k, read off the table."""
     A = sys.algebra
     f = A.field
-    cols = []
-    for u in range(A.dim):
-        eu = A.basis_element(u)
-        acc = zero_vec(f, A.dim)
-        for x, y in zip(sys.xs, sys.ys):
-            acc = vec_add(f, acc, (x * eu * y).coords)
-        cols.append(acc)
-    sol = solve_linear(Matrix.from_columns(f, cols), A.unit)
+    n = A.dim
+    rows = [{} for _ in range(n)]
+    for (r, u), v in _sparse_sum(f, (
+            ((r, u), f.mul(f.mul(c, a), b))
+            for (j, k), c in sys.frobenius_element().items()
+            for u in range(n) for l, a in A.mul[j][u]
+            for r, b in A.mul[l][k])).items():
+        rows[r][u] = v
+    for r, e in enumerate(A.unit):
+        rows[r][n] = e
+    sol = sparse_solve(f, rows, n)
     return Element(A, sol) if sol is not None else None
 
 

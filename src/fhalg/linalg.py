@@ -1,12 +1,17 @@
-"""Dense exact linear algebra: solve, kernel, rank, inverse, matrix order.
+"""Exact linear algebra: solve, kernel, rank, inverse, matrix order.
 
-Elimination uses deterministic pivoting (leftmost column, first nonzero
-row) so every echelon form, kernel basis and reported solution is
-byte-for-byte reproducible.  It is sparse-aware without a second code
-path: entries are tested by truthiness (a zero ``Fraction`` and the
-residue 0 are both false), and each step scales and eliminates only the
-nonzero columns of the pivot row, in rows whose pivot-column entry is
-nonzero.  The result is the one the full-row elimination gives.
+Every elimination runs through one kernel, ``sparse_rref``, on rows
+stored as ``{col: value}`` dicts of nonzero entries.  A column index
+(the rows holding a nonzero in each column) lets each pivot step visit
+only the rows it changes and touch only the nonzero columns of the
+pivot row; fill-in and cancellation keep the index current.  Columns
+are taken left to right, and the pivot is the candidate row with the
+fewest nonzeros (lowest row index on a tie), which limits fill-in.  The
+reduced row echelon form and its pivot columns depend only on the row
+space, not on the pivot order, so every echelon form, kernel basis and
+reported solution is the unique, byte-for-byte reproducible one.
+``Matrix.rref`` is the kernel on the matrix's nonzero entries, made
+dense again.
 """
 
 from __future__ import annotations
@@ -112,32 +117,12 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and pivot columns."""
         f = self.field
-        mul, sub = f.mul, f.sub
-        m = [list(r) for r in self.rows]
-        pivots = []
-        piv_r = 0
-        for c in range(self.ncols):
-            if piv_r >= self.nrows:
-                break
-            sel = next((r for r in range(piv_r, self.nrows) if m[r][c]),
-                       None)
-            if sel is None:
-                continue
-            m[piv_r], m[sel] = m[sel], m[piv_r]
-            prow = m[piv_r]
-            # rows from piv_r down are zero left of c
-            cols = [j for j in range(c, self.ncols) if prow[j]]
-            inv = f.inv(prow[c])
-            for j in cols:
-                prow[j] = mul(inv, prow[j])
-            for r, row in enumerate(m):
-                factor = row[c]
-                if factor and r != piv_r:
-                    for j in cols:
-                        row[j] = sub(row[j], mul(factor, prow[j]))
-            pivots.append(c)
-            piv_r += 1
-        return Matrix(f, m), pivots
+        red, pivots = sparse_rref(f, _sparse_rows(self.rows), self.ncols)
+        rows = [[f.zero] * self.ncols for _ in range(self.nrows)]
+        for row, r in zip(rows, red):
+            for j, a in r.items():
+                row[j] = a
+        return Matrix(f, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -147,12 +132,14 @@ class Matrix:
             raise ValueError("inverse of non-square matrix")
         f = self.field
         n = self.nrows
-        ident = Matrix.identity(f, n).rows
-        aug = Matrix(f, [row + e for row, e in zip(self.rows, ident)])
-        red, pivots = aug.rref()
+        aug = _sparse_rows(self.rows)
+        for i, row in enumerate(aug):
+            row[n + i] = f.one
+        red, pivots = sparse_rref(f, aug, 2 * n)
         if pivots != list(range(n)):
             return None
-        return Matrix(f, [row[n:] for row in red.rows])
+        return Matrix(f, [[r.get(n + j, f.zero) for j in range(n)]
+                          for r in red])
 
     def is_zero(self) -> bool:
         return not any(a for r in self.rows for a in r)
@@ -163,33 +150,91 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def sparse_rref(field: Field, rows, ncols: int) -> tuple[list, list]:
+    """Reduced row echelon form of the rows ``{col: value}`` (columns in
+    ``range(ncols)``): the nonzero rows of the RREF in pivot order, as
+    zero-free dicts, and their pivot columns.  The input is not
+    modified."""
+    mul, sub, zero = field.mul, field.sub, field.zero
+    rows = [{j: a for j, a in r.items() if a} for r in rows]
+    where = [set() for _ in range(ncols)]   # rows nonzero in each column
+    for i, r in enumerate(rows):
+        for j in r:
+            where[j].add(i)
+    used = [False] * len(rows)
+    order, pivots = [], []
+    for c in range(ncols):
+        if len(order) == len(rows):
+            break
+        cands = [i for i in where[c] if not used[i]]
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        inv = field.inv(prow[c])
+        for j in prow:
+            prow[j] = mul(inv, prow[j])
+        rest = [(j, a) for j, a in prow.items() if j != c]
+        for i in where[c]:
+            if i == p:
+                continue
+            row = rows[i]
+            factor = row.pop(c)
+            for j, a in rest:
+                v = sub(row.get(j, zero), mul(factor, a))
+                if v:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    where[j].discard(i)
+        where[c] = {p}
+        used[p] = True
+        order.append(p)
+        pivots.append(c)
+    return [rows[i] for i in order], pivots
+
+
+def sparse_solve(field: Field, rows, ncols: int) -> list | None:
+    """Echelon-canonical solution (free variables zero) of the system
+    whose rows ``{col: value}`` hold the right-hand side in column
+    ``ncols``, or None if it is inconsistent."""
+    red, pivots = sparse_rref(field, rows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [field.zero] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row.get(ncols, field.zero)
+    return x
+
+
+def _sparse_rows(rows) -> list[dict]:
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
 def solve_linear(A: Matrix, b: list) -> list | None:
     """Echelon-canonical solution of A x = b (free variables zero), or None."""
     if len(b) != A.nrows:
         raise ValueError("right-hand side length mismatch")
-    f = A.field
-    aug = Matrix(f, [row + [bv] for row, bv in zip(A.rows, b)])
-    red, pivots = aug.rref()
-    if A.ncols in pivots:
-        return None
-    x = [f.zero] * A.ncols
-    for r, c in enumerate(pivots):
-        x[c] = red.rows[r][A.ncols]
-    return x
+    return sparse_solve(A.field, _sparse_rows(
+        row + [bv] for row, bv in zip(A.rows, b)), A.ncols)
 
 
 def kernel_basis(A: Matrix) -> list[list]:
     """Reduced-echelon kernel basis, ordered by free (pivotless) column."""
     f = A.field
-    red, pivots = A.rref()
+    red, pivots = sparse_rref(f, _sparse_rows(A.rows), A.ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(A.ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(A.ncols):
+        if fc in pivot_set:
+            continue
         v = [f.zero] * A.ncols
         v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.rows[r][fc])
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                v[pc] = f.neg(row[fc])
         basis.append(v)
     return basis
 

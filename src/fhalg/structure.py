@@ -13,8 +13,9 @@ Conventions, fixed once for the whole package:
   these lists and never recompute it by multiplying unit vectors: the
   axioms, the algebra-map checks (``_multiplicative_failure``), the
   Gram matrix phi(e_i e_j) of a functional, through which the Frobenius
-  checks evaluate phi on products, and the left and right
-  multiplication matrices, from which the linear systems are built
+  checks evaluate phi on products, the left and right multiplication
+  matrices, and the sparse rows of the convolution-inverse and
+  separability systems
 * antipode matrix acts on coordinate columns: S(e_j) = sum_i S[i][j] e_i
 * an element of A (x) A is a dict {(i, j): c} meaning sum c e_i (x) e_j,
   and an element of A (x) A (x) A a dict {(i, j, k): c}; only nonzero
@@ -30,8 +31,8 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field, check_same_field
-from .linalg import (Matrix, kernel_basis, solve_linear, unit_vec, vec_add,
-                     vec_scale, zero_vec)
+from .linalg import Matrix, solve_linear, sparse_solve, unit_vec, vec_add, \
+    zero_vec
 
 LEVELS = ("algebra", "augmented-algebra", "bialgebra", "hopf")
 
@@ -697,31 +698,31 @@ def convolution_inverse(H: HopfData, F: Matrix) -> Matrix | None:
         raise StructureError("convolution inverse needs a bialgebra")
     f = H.field
     n = H.dim
-    # prods[k][r][u]: coefficient of e_r in e_u * F(e_k)
-    Fcols = F.columns()
-    prods = [H.right_mul_matrix(Fk).rows for Fk in Fcols]
-    rows, rhs = [], []
+    Fnz = [[(l, a) for l, a in enumerate(col) if a] for col in F.columns()]
+    # unknown G[u][j] is column u n + j; equation (i, r) is the e_r
+    # coefficient of sum c G(e_j) F(e_k) over Delta(e_i), with
+    # e_u F(e_k) = sum a_l e_u e_l read off the table
+    rows = []
     for i in range(n):
-        sparse = H.comul[i]
-        for r in range(n):
-            row = [f.zero] * (n * n)
-            for j, k, c in sparse:
-                for u, v in enumerate(prods[k][r]):
-                    if v:
-                        col = u * n + j
-                        row[col] = f.add(row[col], f.mul(c, v))
-            rows.append(row)
-            rhs.append(f.mul(H.counit[i], H.unit[r]))
-    sol = solve_linear(Matrix(f, rows), rhs)
+        eq = [{} for _ in range(n)]
+        for (r, col), v in _sparse_sum(f, (
+                ((r, u * n + j), f.mul(f.mul(c, a), m))
+                for j, k, c in H.comul[i] for l, a in Fnz[k]
+                for u in range(n) for r, m in H.mul[u][l])).items():
+            eq[r][col] = v
+        for r, e in enumerate(H.unit):
+            eq[r][n * n] = f.mul(H.counit[i], e)
+        rows.extend(eq)
+    sol = sparse_solve(f, rows, n * n)
     if sol is None:
         return None
-    G = Matrix(f, [[sol[u * n + j] for j in range(n)] for u in range(n)])
+    G = Matrix(f, [sol[u * n:(u + 1) * n] for u in range(n)])
     # two-sided check: sum F(a_1) G(a_2) = eps(a) 1
-    Gcols = G.columns()
+    Gnz = [[(m, g) for m, g in enumerate(col) if g] for col in G.columns()]
     for i in range(n):
-        acc = zero_vec(f, n)
-        for j, k, c in H.comul[i]:
-            acc = vec_add(f, acc, vec_scale(f, c, H.mul_vec(Fcols[j], Gcols[k])))
-        if acc != vec_scale(f, H.counit[i], H.unit):
+        got = _sparse_sum(f, ((r, f.mul(c, v)) for j, k, c in H.comul[i]
+                              for r, v in _product(H, Fnz[j], Gnz[k]).items()))
+        if got != _sparse_sum(f, ((r, f.mul(H.counit[i], e))
+                                  for r, e in enumerate(H.unit))):
             return None
     return G

@@ -7,6 +7,10 @@ comparison is equality, never approximate.
 
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -57,7 +61,7 @@ def test_1_axiom_gate():
     for name in PRESET_NAMES:
         with budget(1.0, f"axioms for {name}"):
             assert verify_axioms(preset(name)).passed, name
-    print("\n[1/10] axiom gate over the full preset catalog: PASS")
+    print("\n[1/11] axiom gate over the full preset catalog: PASS")
 
 
 def test_2_frobenius_core():
@@ -68,7 +72,7 @@ def test_2_frobenius_core():
             assert sys.casimir_ok(), name
             assert sys.center_sum_ok(), name
             assert sys.exchange_ok(), name
-    print("\n[2/10] dual bases, Casimir, center, exchange: PASS")
+    print("\n[2/11] dual bases, Casimir, center, exchange: PASS")
 
 
 def test_3_integrals_norms_modular():
@@ -104,7 +108,7 @@ def test_3_integrals_norms_modular():
     alpha = nakayama(sys)
     bad = rep.modular.scale(A.field.from_int(2))
     assert bad.compose_matrix(alpha).coords != A.counit
-    print("\n[3/10] integral/norm/modular laws and implications: PASS")
+    print("\n[3/11] integral/norm/modular laws and implications: PASS")
 
 
 def test_4_distinguished_elements():
@@ -127,7 +131,7 @@ def test_4_distinguished_elements():
     S2 = preset("taft:3:13").antipode * preset("taft:3:13").antipode
     assert pt.ord_S == 6          # S^4 != Id: the formula is exercised
     assert matrix_order(S2, 36) == 3
-    print("\n[4/10] distinguished group-likes, Radford and S^4 laws: PASS")
+    print("\n[4/11] distinguished group-likes, Radford and S^4 laws: PASS")
 
 
 def test_5_involutivity_conclusions():
@@ -139,7 +143,7 @@ def test_5_involutivity_conclusions():
     assert rep.applicable and not rep.coseparable
     assert not profile("sweedler4").involutive
     assert rep.checks.passed
-    print("\n[5/10] involutivity conclusions without false positives: PASS")
+    print("\n[5/11] involutivity conclusions without false positives: PASS")
 
 
 def test_6_subalgebra_pairs():
@@ -170,7 +174,7 @@ def test_6_subalgebra_pairs():
             assert check_norm_identities(pair, rel).passed
         composed = compose_transitive(rel2, pair2.profile_K.system)
         composed.verify_dual_bases()
-    print("\n[6/10] twisted Frobenius extension suite: PASS")
+    print("\n[6/11] twisted Frobenius extension suite: PASS")
 
 
 def test_7_order_bounds():
@@ -187,7 +191,7 @@ def test_7_order_bounds():
             D = double(name).D
             n = matrix_order(D.antipode, 4 * D.dim)
             assert n is not None and (4 * D.dim) % n == 0, name
-    print("\n[7/10] order theorems with hard bounds: PASS")
+    print("\n[7/11] order theorems with hard bounds: PASS")
 
 
 def test_8_quantum_double():
@@ -201,7 +205,7 @@ def test_8_quantum_double():
         assert p_D.unimodular
         assert check_double_integrals(dd, profile("sweedler4"), p_D).passed
         assert check_double_symmetric(dd, p_D).passed
-    print("\n[8/10] quantum double with R-matrix verification: PASS")
+    print("\n[8/11] quantum double with R-matrix verification: PASS")
 
 
 def test_9_cli_contract(tmp_path, capsys):
@@ -224,7 +228,7 @@ def test_9_cli_contract(tmp_path, capsys):
     save_spec(preset("taft:3:13"), str(p1))
     save_spec(load_spec(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-    print("\n[9/10] CLI exit codes, JSON and serialization: PASS")
+    print("\n[9/11] CLI exit codes, JSON and serialization: PASS")
 
 
 def test_10_double_of_s3_cli(capsys):
@@ -234,4 +238,23 @@ def test_10_double_of_s3_cli(capsys):
     with budget(8.0, "fhalg --json double preset:group:S3"):
         assert cli_main(["--json", "double", "preset:group:S3"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    print("\n[10/10] double of group:S3 through the CLI: PASS")
+    print("\n[10/11] double of group:S3 through the CLI: PASS")
+
+
+def test_11_double_of_taft3_cli():
+    """D(Taft_3) has dimension 81: its antipode system in fh_profile has
+    6561 unknowns, which a dense n^2 x n^2 matrix would hold in 43 M
+    cells.  Run in a fresh interpreter, so that its peak RSS is its own."""
+    import fhalg
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(fhalg.__file__))))
+    with budget(10.0, "fhalg --json double preset:taft:3:13"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fhalg.cli", "--json", "double",
+             "preset:taft:3:13"], env=env, capture_output=True, text=True,
+            timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB (limit 200 MB)"
+    print("\n[11/11] double of taft:3:13 in a fresh interpreter: PASS")

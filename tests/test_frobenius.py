@@ -10,7 +10,8 @@ from fhalg import (GF, QQ, DegenerateFunctional, Element,
                    get_preset, integral_space, integrals_and_norms, nakayama,
                    separability_element, symmetric_test, tensor_system,
                    transform_system)
-from conftest import PRESET_NAMES, preset
+from fhalg.fh import integral_dual_bases
+from conftest import HOPF_PRESETS, PRESET_NAMES, preset, profile
 
 _systems: dict = {}
 
@@ -135,6 +136,29 @@ def test_derivative_recovers_shifting_element(sweedler):
 def test_separability(name, expected):
     sep = separability_element(system(name))
     assert (sep is not None) == expected
+
+
+def _check_separability_element(sys):
+    """The returned s satisfies sum_i x_i s y_i = 1, multiplied out
+    through Element products; returns whether there was one."""
+    s = separability_element(sys)
+    if s is not None:
+        A = sys.algebra
+        total = A.element([A.field.zero] * A.dim)
+        for x, y in zip(sys.xs, sys.ys):
+            total = total + x * s * y
+        assert total == A.one()
+    return s is not None
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_separability_element_solves_its_equation(name):
+    separable = _check_separability_element(system(name))
+    if name in HOPF_PRESETS:
+        # the non-canonical system (S^{-1} t_2, t_1) of the integrals
+        H, prof = preset(name), profile(name)
+        sys = FrobeniusSystem(H, prof.f, *integral_dual_bases(H, prof.t))
+        assert _check_separability_element(sys) == separable
 
 
 def test_separability_fails_in_bad_characteristic():

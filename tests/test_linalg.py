@@ -156,8 +156,9 @@ SPARSE_FIELDS = [QQ, GF(2), GF(7), GF(13)]
 
 
 def _reference_rref(M):
-    """Textbook Gauss-Jordan with the same pivoting (leftmost column,
-    first nonzero row), rewriting every entry of every row."""
+    """Textbook Gauss-Jordan on dense rows, pivoting on the first nonzero
+    row of the leftmost column and rewriting every entry of every row.
+    The kernel pivots on the sparsest row; the RREF is the same."""
     f = M.field
     m = [list(r) for r in M.rows]
     pivots, piv_r = [], 0
@@ -196,6 +197,18 @@ def _shaped_sparse_matrix(field, data, shape):
         return _sparse_matrix(field, data, small, big)
     if shape == "tall":
         return _sparse_matrix(field, data, big, small)
+    if shape == "dense-first":
+        # row 0 is the first candidate in column 0 and the densest row; a
+        # sparser row below it also holds column 0, so the sparsest-row
+        # pivot is not the first-nonzero-row pivot of the reference
+        nr, nc = data.draw(st.integers(2, 8)), data.draw(st.integers(2, 8))
+        M = _sparse_matrix(field, data, nr, nc)
+        nonzero = st.integers(1, 4).map(field.from_int).filter(bool)
+        M.rows[0] = [data.draw(nonzero) for _ in range(nc)]
+        row = data.draw(st.integers(1, nr - 1))
+        M.rows[row][0] = field.one
+        M.rows[row][data.draw(st.integers(1, nc - 1))] = field.zero
+        return M
     # rank at most k < min(nr, nc): a product through a k-dimensional space
     nr, nc = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))
     k = data.draw(st.integers(0, min(nr, nc) - 1))
@@ -205,7 +218,8 @@ def _shaped_sparse_matrix(field, data, shape):
             * _sparse_matrix(field, data, k, nc))
 
 
-@pytest.mark.parametrize("shape", ["wide", "tall", "rank-deficient"])
+@pytest.mark.parametrize("shape", ["wide", "tall", "rank-deficient",
+                                   "dense-first"])
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhalg import (GF, QQ, Functional, HopfData, Matrix, convolution_inverse,
-                   dual_hopf, get_preset, hit_left, hit_right, tensor_algebra,
-                   variant, verify_axioms)
+                   dual_hopf, get_preset, hit_left, hit_right, solve_linear,
+                   tensor_algebra, variant, verify_axioms)
+from fhalg.linalg import vec_add, vec_scale
 from fhalg.structure import tensor_square_mul
 from conftest import HOPF_PRESETS, PRESET_NAMES, double, preset
 
@@ -159,6 +160,79 @@ def test_antipode_is_convolution_inverse_of_identity(name):
     H = preset(name)
     S = convolution_inverse(H, Matrix.identity(H.field, H.dim))
     assert S == H.antipode
+
+
+def _dense_convolution_inverse(H, F):
+    """Reference: one dense row of length n^2 per equation (i, r), the
+    unknown G[u][j] in column u n + j, solved by solve_linear, then the
+    two-sided check through dense products."""
+    f, n = H.field, H.dim
+    Fcols = F.columns()
+    # prods[k][r][u]: coefficient of e_r in e_u F(e_k)
+    prods = [H.right_mul_matrix(Fk).rows for Fk in Fcols]
+    rows, rhs = [], []
+    for i in range(n):
+        for r in range(n):
+            row = [f.zero] * (n * n)
+            for j, k, c in H.comul[i]:
+                for u, v in enumerate(prods[k][r]):
+                    row[u * n + j] = f.add(row[u * n + j], f.mul(c, v))
+            rows.append(row)
+            rhs.append(f.mul(H.counit[i], H.unit[r]))
+    sol = solve_linear(Matrix(f, rows), rhs)
+    if sol is None:
+        return None
+    G = Matrix(f, [[sol[u * n + j] for j in range(n)] for u in range(n)])
+    Gcols = G.columns()
+    for i in range(n):
+        acc = [f.zero] * n
+        for j, k, c in H.comul[i]:
+            acc = vec_add(f, acc, vec_scale(f, c, H.mul_vec(Fcols[j],
+                                                            Gcols[k])))
+        if acc != vec_scale(f, H.counit[i], H.unit):
+            return None
+    return G
+
+
+def _unit_counit(H):
+    """The matrix of eta eps, the unit of the convolution algebra."""
+    f = H.field
+    return Matrix(f, [[f.mul(u, e) for e in H.counit] for u in H.unit])
+
+
+CONVOLUTION_CASES = [(name, None) for name in HOPF_PRESETS] + [
+    ("group:S3", GF(7)), ("group:Q8", GF(3)), ("sweedler4", GF(5))]
+
+
+@pytest.mark.parametrize("name,field", CONVOLUTION_CASES,
+                         ids=str)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_convolution_inverse_matches_dense_system(name, field, data):
+    """A sparse F (a multiple of Id, of eta eps or of 0, plus up to three
+    entries) has the convolution inverse the dense system gives, or None
+    for both."""
+    H = get_preset(name, field=field) if field else preset(name)
+    f, n = H.field, H.dim
+    base = data.draw(st.sampled_from(
+        [Matrix.zeros(f, n, n), Matrix.identity(f, n), _unit_counit(H)]))
+    F = base.scale(f.from_int(data.draw(st.integers(1, 3))))
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.integers(-2, 2), max_size=3))
+    for (r, j), v in cells.items():
+        F.rows[r][j] = f.add(F.rows[r][j], f.from_int(v))
+    assert convolution_inverse(H, F) == _dense_convolution_inverse(H, F)
+
+
+@pytest.mark.parametrize("name", HOPF_PRESETS)
+def test_convolution_inverse_fixed_cases(name):
+    """0 has no inverse, eta eps is its own and Id has the antipode."""
+    H = preset(name)
+    f, n = H.field, H.dim
+    assert convolution_inverse(H, Matrix.zeros(f, n, n)) is None
+    assert convolution_inverse(H, _unit_counit(H)) == _unit_counit(H)
+    assert convolution_inverse(H, Matrix.identity(f, n)) == H.antipode
 
 
 def test_group_like_inverse_is_antipode_image():
